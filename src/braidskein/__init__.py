@@ -37,17 +37,13 @@ from .homfly import (
     to_homfly,
 )
 from .resolution import (
-    CompletedLabels,
-    FirstBad,
     Label,
     ResolutionNode,
-    canonical_basepoint,
     compare_basepoints,
     label_only,
     leaf_count,
     resolution_tree,
     resolve,
-    traverse,
     tree_vector,
 )
 from .skein import (
@@ -60,14 +56,11 @@ from .skein import (
     RingDomainError,
     SkeinVector,
     partition_str,
-    vector_sum,
 )
 from .templates import (
     DivergencePair,
     ExchangeInstance,
     FlypeInstance,
-    TemplateWeights,
-    admissible,
     enumerate_exchange_instances,
     enumerate_flype_instances,
     exchange_pair,
@@ -95,12 +88,10 @@ __all__ = [
     "BadCount",
     "BraidIndexCertificate",
     "BraidWord",
-    "CompletedLabels",
     "CrossingChange",
     "DimensionError",
     "DivergencePair",
     "ExchangeInstance",
-    "FirstBad",
     "FlypeInstance",
     "HomflyPoly",
     "JonesPoly",
@@ -115,13 +106,10 @@ __all__ = [
     "ResolutionNode",
     "RingDomainError",
     "SkeinVector",
-    "TemplateWeights",
     "WordError",
-    "admissible",
     "bad_counts",
     "basis_braid",
     "bfree_exponent",
-    "canonical_basepoint",
     "certify_braid_index_3",
     "compare_basepoints",
     "cycle_type",
@@ -146,7 +134,5 @@ __all__ = [
     "resolve",
     "search_exchange_divergence",
     "to_homfly",
-    "traverse",
     "tree_vector",
-    "vector_sum",
 ]

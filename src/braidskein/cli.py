@@ -172,8 +172,8 @@ def _cmd_certify3(args) -> int:
     return 0 if certificate is BraidIndexCertificate.CERTIFIED else 1
 
 
-def _cmd_flype_test(args) -> int:
-    left, right = flype_pair(FlypeInstance(args.a, args.b, args.c, args.eps))
+def _compare_sides(args, left: BraidWord, right: BraidWord) -> int:
+    """Print both sides of a template and whether they resolve equally."""
     equal = resolve(left) == resolve(right)
     if args.json:
         _print_json({"left": left.format(), "right": right.format(), "equal": equal})
@@ -182,6 +182,11 @@ def _cmd_flype_test(args) -> int:
         print(f"right: {right.format()}")
         print(f"verdict: {'equal' if equal else 'DIFFERENT'}")
     return 0 if equal else 1
+
+
+def _cmd_flype_test(args) -> int:
+    left, right = flype_pair(FlypeInstance(args.a, args.b, args.c, args.eps))
+    return _compare_sides(args, left, right)
 
 
 def _cmd_exchange_test(args) -> int:
@@ -191,14 +196,7 @@ def _cmd_exchange_test(args) -> int:
         raise WordError("blocks u and v must have the same strand count")
     n = u.strand_count + 1
     left, right = exchange_pair(ExchangeInstance(u, v), n)
-    equal = resolve(left) == resolve(right)
-    if args.json:
-        _print_json({"left": left.format(), "right": right.format(), "equal": equal})
-    else:
-        print(f"left:  {left.format()}")
-        print(f"right: {right.format()}")
-        print(f"verdict: {'equal' if equal else 'DIFFERENT'}")
-    return 0 if equal else 1
+    return _compare_sides(args, left, right)
 
 
 def _cmd_exchange_search(args) -> int:

@@ -21,104 +21,17 @@ from __future__ import annotations
 
 import enum
 from math import comb
-from typing import Mapping
 
-from .skein import SkeinVector
+from .skein import Laurent, SkeinVector
 from .words import BraidWord
 
 
-class HomflyPoly:
-    """Sparse integer Laurent polynomial in l and m."""
+class HomflyPoly(Laurent):
+    """Integer Laurent polynomial in l and m; terms print ordered by
+    (l exponent, m exponent), e.g. "-l^-4 - 2*l^-2"."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
-        self._terms = {key: c for key, c in dict(terms).items() if c}
-
-    @staticmethod
-    def monomial(coeff: int, l_exp: int = 0, m_exp: int = 0) -> HomflyPoly:
-        return HomflyPoly({(l_exp, m_exp): coeff})
-
-    @staticmethod
-    def zero() -> HomflyPoly:
-        return HomflyPoly()
-
-    @staticmethod
-    def one() -> HomflyPoly:
-        return HomflyPoly.monomial(1)
-
-    def terms(self) -> dict[tuple[int, int], int]:
-        return dict(self._terms)
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HomflyPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    def __add__(self, other: HomflyPoly) -> HomflyPoly:
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return HomflyPoly(out)
-
-    def __neg__(self) -> HomflyPoly:
-        return HomflyPoly({key: -c for key, c in self._terms.items()})
-
-    def __sub__(self, other: HomflyPoly) -> HomflyPoly:
-        return self + (-other)
-
-    def __mul__(self, other: HomflyPoly) -> HomflyPoly:
-        out: dict[tuple[int, int], int] = {}
-        for (l1, m1), c1 in self._terms.items():
-            for (l2, m2), c2 in other._terms.items():
-                key = (l1 + l2, m1 + m2)
-                out[key] = out.get(key, 0) + c1 * c2
-        return HomflyPoly(out)
-
-    def format(self) -> str:
-        """Terms ordered by (l exponent, m exponent), e.g. "-l^-4 - 2*l^-2"."""
-        if not self._terms:
-            return "0"
-        pieces = []
-        for (le, me), c in sorted(self._terms.items()):
-            parts = []
-            if le:
-                parts.append("l" if le == 1 else f"l^{le}")
-            if me:
-                parts.append("m" if me == 1 else f"m^{me}")
-            mag = abs(c)
-            if mag != 1 or not parts:
-                parts.insert(0, str(mag))
-            text = "*".join(parts)
-            if not pieces:
-                pieces.append(f"-{text}" if c < 0 else text)
-            else:
-                pieces.append(f"- {text}" if c < 0 else f"+ {text}")
-        return " ".join(pieces)
-
-    def __str__(self) -> str:
-        return self.format()
-
-    def __repr__(self) -> str:
-        return f"HomflyPoly({self.format()!r})"
-
-    def to_json_dict(self) -> dict[str, int]:
-        return {f"{le},{me}": c for (le, me), c in sorted(self._terms.items())}
-
-    @staticmethod
-    def from_json_dict(data: Mapping[str, int]) -> HomflyPoly:
-        terms = {}
-        for key, c in data.items():
-            l_text, _, m_text = key.partition(",")
-            terms[(int(l_text), int(m_text))] = int(c)
-        return HomflyPoly(terms)
+    __slots__ = ()
+    _variables = ("l", "m")
 
 
 DELTA = HomflyPoly({(1, -1): -1, (-1, -1): -1})  # value of a split unknot
@@ -262,58 +175,27 @@ def certify_braid_index_3(word: BraidWord) -> BraidIndexCertificate:
 # -- Jones specialization ----------------------------------------------------------------
 
 
-class JonesPoly:
+class JonesPoly(Laurent):
     """Integer Laurent polynomial in the square root of t.
 
     Keys of the term map are exponents of t^(1/2), so key 2 is t and key -1
-    is t^(-1/2).
+    is t^(-1/2).  The inherited ``monomial`` and product work on exponent
+    pairs only; nothing needs either for Jones polynomials.
     """
 
-    __slots__ = ("_terms",)
+    __slots__ = ()
+    _one_key = 0
 
-    def __init__(self, terms: Mapping[int, int] = ()):
-        self._terms = {e: c for e, c in dict(terms).items() if c}
+    def _powers(self, e: int) -> list[str]:
+        if not e:
+            return []
+        if e % 2:
+            return [f"t^({e}/2)"]
+        half = e // 2
+        return ["t" if half == 1 else f"t^{half}"]
 
-    def terms(self) -> dict[int, int]:
-        return dict(self._terms)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JonesPoly) and self._terms == other._terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self._terms.items()))
-
-    @staticmethod
-    def _power_str(e: int) -> str:
-        if e % 2 == 0:
-            half = e // 2
-            return "t" if half == 1 else f"t^{half}"
-        return f"t^({e}/2)"
-
-    def format(self) -> str:
-        if not self._terms:
-            return "0"
-        pieces = []
-        for e, c in sorted(self._terms.items()):
-            if e == 0:
-                text = str(abs(c))
-            else:
-                mag = abs(c)
-                text = self._power_str(e) if mag == 1 else f"{mag}*{self._power_str(e)}"
-            if not pieces:
-                pieces.append(f"-{text}" if c < 0 else text)
-            else:
-                pieces.append(f"- {text}" if c < 0 else f"+ {text}")
-        return " ".join(pieces)
-
-    def __str__(self) -> str:
-        return self.format()
-
-    def __repr__(self) -> str:
-        return f"JonesPoly({self.format()!r})"
-
-    def to_json_dict(self) -> dict[str, int]:
-        return {str(e): c for e, c in sorted(self._terms.items())}
+    _key_str = staticmethod(str)
+    _parse_key = staticmethod(int)
 
 
 def _divide_by_qinv_minus_q(poly: dict[int, int]) -> dict[int, int]:

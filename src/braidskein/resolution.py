@@ -24,36 +24,12 @@ import enum
 from dataclasses import dataclass
 
 from .skein import A, A_INV, B, NEG_A_INV_B, LaurentAB, SkeinVector
-from .words import BraidWord, WordError, cycle_type, permutation
+from .words import BraidWord, Letter, WordError, cycle_type, permutation
 
 
 class Label(enum.Enum):
     GOOD = "good"
     BAD = "bad"
-
-
-@dataclass(frozen=True)
-class FirstBad:
-    """The walk stopped at an unlabeled under-strand encounter."""
-
-    crossing_id: int
-    sign: int
-    position_entered: int
-
-
-@dataclass(frozen=True)
-class CompletedLabels:
-    """The walk visited every strand without meeting a bad crossing."""
-
-    labels: dict[int, Label]
-
-
-def canonical_basepoint(word: BraidWord, completed: set[int]) -> int | None:
-    """Smallest strand position not yet walked, or None when all are done."""
-    for position in range(1, word.strand_count + 1):
-        if position not in completed:
-            return position
-    return None
 
 
 def _check_basepoint(word: BraidWord, basepoint: int):
@@ -64,17 +40,18 @@ def _check_basepoint(word: BraidWord, basepoint: int):
 
 
 def _walk(word: BraidWord, basepoint: int, labels: dict[int, Label],
-          stop_on_bad: bool) -> FirstBad | None:
+          stop_on_bad: bool) -> Letter | None:
     """Walk the whole closure, updating ``labels`` in place.
 
-    With ``stop_on_bad`` the walk returns the first unlabeled under-strand
-    encounter without labeling it; otherwise bad crossings are labeled and
-    the walk continues through them.  Returns None when every component was
-    completed.
+    Each time a component closes, the walk restarts at the smallest strand
+    position not yet walked.  With ``stop_on_bad`` the walk returns the
+    letter of the first unlabeled under-strand encounter without labeling
+    it; otherwise bad crossings are labeled and the walk continues through
+    them.  Returns None when every component was completed.
     """
     completed: set[int] = set()
     start = basepoint
-    while start is not None:
+    while True:
         position = start
         seen = {start}
         while True:
@@ -87,7 +64,7 @@ def _walk(word: BraidWord, basepoint: int, labels: dict[int, Label],
                     if position == over_entry:
                         labels[letter.crossing_id] = Label.GOOD
                     elif stop_on_bad:
-                        return FirstBad(letter.crossing_id, letter.sign, position)
+                        return letter
                     else:
                         labels[letter.crossing_id] = Label.BAD
                 position = i + 1 if position == i else i
@@ -95,35 +72,17 @@ def _walk(word: BraidWord, basepoint: int, labels: dict[int, Label],
                 break
             seen.add(position)
         completed |= seen
-        start = canonical_basepoint(word, completed)
-    return None
-
-
-def traverse(word: BraidWord, basepoint: int | None = None,
-             labels: dict[int, Label] | None = None) -> FirstBad | CompletedLabels:
-    """Run the basepoint walk until the first bad crossing or exhaustion.
-
-    ``labels`` seeds the walk with crossings already decided; the argument
-    is not mutated.
-    """
-    if basepoint is None:
-        basepoint = canonical_basepoint(word, set())
-        if basepoint is None:
-            return CompletedLabels({})
-    _check_basepoint(word, basepoint)
-    state = dict(labels) if labels else {}
-    hit = _walk(word, basepoint, state, stop_on_bad=True)
-    if hit is not None:
-        return hit
-    return CompletedLabels(state)
+        for start in range(1, word.strand_count + 1):
+            if start not in completed:
+                break
+        else:
+            return None
 
 
 def label_only(word: BraidWord, basepoint: int | None = None) -> dict[int, Label]:
     """Label every crossing good or bad without resolving anything."""
     if basepoint is None:
-        basepoint = canonical_basepoint(word, set())
-        if basepoint is None:
-            return {}
+        basepoint = 1
     _check_basepoint(word, basepoint)
     state: dict[int, Label] = {}
     _walk(word, basepoint, state, stop_on_bad=False)

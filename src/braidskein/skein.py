@@ -9,7 +9,7 @@ partition indexes the descending diagram whose closure has that cycle type.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .words import is_partition_of
 
@@ -22,34 +22,37 @@ class DimensionError(ValueError):
     """A vector was given a key that is not a partition of its strand count."""
 
 
-class LaurentAB:
-    """Sparse polynomial sum(c * A^a * B^b) with integer c, any a, b >= 0."""
+class Laurent:
+    """Sparse integer Laurent polynomial: a map from exponent keys to
+    nonzero integer coefficients.
+
+    The base class does all the arithmetic, comparison, printing and JSON on
+    keys that are exponent pairs, one per name in ``_variables``.
+    Subclasses declare their variable names and term order.  Values of
+    different subclasses never compare equal.
+    """
 
     __slots__ = ("_terms",)
+    _variables: tuple[str, ...] = ()
+    _one_key = (0, 0)
 
-    def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
-        clean: dict[tuple[int, int], int] = {}
-        for (a, b), c in dict(terms).items():
-            if b < 0:
-                raise RingDomainError(f"negative exponent {b} on B")
-            if c:
-                clean[(a, b)] = c
-        self._terms = clean
+    def __init__(self, terms: Mapping = ()):
+        self._terms = {key: c for key, c in dict(terms).items() if c}
 
-    @staticmethod
-    def monomial(coeff: int, a_exp: int = 0, b_exp: int = 0) -> LaurentAB:
-        return LaurentAB({(a_exp, b_exp): coeff})
+    @classmethod
+    def monomial(cls, coeff: int, e1: int = 0, e2: int = 0):
+        return cls({(e1, e2): coeff})
 
-    @staticmethod
-    def zero() -> LaurentAB:
-        return LaurentAB()
+    @classmethod
+    def zero(cls):
+        return cls()
 
-    @staticmethod
-    def one() -> LaurentAB:
-        return LaurentAB.monomial(1)
+    @classmethod
+    def one(cls):
+        return cls({cls._one_key: 1})
 
-    def terms(self) -> dict[tuple[int, int], int]:
-        """Copy of the term map {(a_exp, b_exp): coeff}, zero-free."""
+    def terms(self) -> dict:
+        """Copy of the term map {exponents: coeff}, zero-free."""
         return dict(self._terms)
 
     def is_zero(self) -> bool:
@@ -59,53 +62,65 @@ class LaurentAB:
         return bool(self._terms)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, LaurentAB) and self._terms == other._terms
+        return type(other) is type(self) and self._terms == other._terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self._terms.items()))
 
-    def __add__(self, other: LaurentAB) -> LaurentAB:
+    def __add__(self, other):
         out = dict(self._terms)
         for key, c in other._terms.items():
             out[key] = out.get(key, 0) + c
-        return LaurentAB(out)
+        return type(self)(out)
 
-    def __neg__(self) -> LaurentAB:
-        return LaurentAB({key: -c for key, c in self._terms.items()})
+    def __neg__(self):
+        return type(self)({key: -c for key, c in self._terms.items()})
 
-    def __sub__(self, other: LaurentAB) -> LaurentAB:
+    def __sub__(self, other):
         return self + (-other)
 
-    def __mul__(self, other: LaurentAB) -> LaurentAB:
+    def __mul__(self, other):
         out: dict[tuple[int, int], int] = {}
         for (a1, b1), c1 in self._terms.items():
             for (a2, b2), c2 in other._terms.items():
                 key = (a1 + a2, b1 + b2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return LaurentAB(out)
+        return type(self)(out)
 
-    # -- formatting ----------------------------------------------------------
+    # -- per-type hooks ------------------------------------------------------
 
     @staticmethod
-    def _monomial_str(a: int, b: int, coeff: int) -> str:
-        parts = []
-        if a:
-            parts.append("A" if a == 1 else f"A^{a}")
-        if b:
-            parts.append("B" if b == 1 else f"B^{b}")
-        mag = abs(coeff)
-        if mag != 1 or not parts:
-            parts.insert(0, str(mag))
-        return "*".join(parts)
+    def _term_order(term):
+        return term[0]
+
+    def _powers(self, key) -> list[str]:
+        return [name if e == 1 else f"{name}^{e}"
+                for name, e in zip(self._variables, key) if e]
+
+    @staticmethod
+    def _key_str(key) -> str:
+        return f"{key[0]},{key[1]}"
+
+    @staticmethod
+    def _parse_key(text: str):
+        first, _, second = text.partition(",")
+        return int(first), int(second)
+
+    # -- formatting ------------------------------------------------------------
+
+    def _ordered(self) -> list:
+        return sorted(self._terms.items(), key=self._term_order)
 
     def format(self) -> str:
-        """Human form, terms ordered by (b exponent, A exponent)."""
         if not self._terms:
             return "0"
-        ordered = sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
         pieces = []
-        for (a, b), c in ordered:
-            text = self._monomial_str(a, b, c)
+        for key, c in self._ordered():
+            parts = self._powers(key)
+            mag = abs(c)
+            if mag != 1 or not parts:
+                parts.insert(0, str(mag))
+            text = "*".join(parts)
             if not pieces:
                 pieces.append(f"-{text}" if c < 0 else text)
             else:
@@ -116,22 +131,36 @@ class LaurentAB:
         return self.format()
 
     def __repr__(self) -> str:
-        return f"LaurentAB({self.format()!r})"
+        return f"{type(self).__name__}({self.format()!r})"
 
     # -- JSON ------------------------------------------------------------------
 
     def to_json_dict(self) -> dict[str, int]:
-        """Keys are "a_exp,b_exp" strings, in the format() term order."""
-        ordered = sorted(self._terms.items(), key=lambda kv: (kv[0][1], kv[0][0]))
-        return {f"{a},{b}": c for (a, b), c in ordered}
+        """Exponent keys as strings, in the format() term order."""
+        return {self._key_str(key): c for key, c in self._ordered()}
+
+    @classmethod
+    def from_json_dict(cls, data: Mapping[str, int]):
+        return cls({cls._parse_key(key): int(c) for key, c in data.items()})
+
+
+class LaurentAB(Laurent):
+    """sum(c * A^a * B^b) with integer c, any a, b >= 0; terms print ordered
+    by (b exponent, A exponent)."""
+
+    __slots__ = ()
+    _variables = ("A", "B")
+
+    def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
+        for _, b in terms:
+            if b < 0:
+                raise RingDomainError(f"negative exponent {b} on B")
+        Laurent.__init__(self, terms)
 
     @staticmethod
-    def from_json_dict(data: Mapping[str, int]) -> LaurentAB:
-        terms = {}
-        for key, c in data.items():
-            a_text, _, b_text = key.partition(",")
-            terms[(int(a_text), int(b_text))] = int(c)
-        return LaurentAB(terms)
+    def _term_order(term):
+        (a, b), _ = term
+        return b, a
 
 
 A = LaurentAB.monomial(1, 1, 0)
@@ -250,9 +279,3 @@ class SkeinVector:
             entries[parts] = LaurentAB.from_json_dict(poly)
         return SkeinVector(strand_count, entries)
 
-
-def vector_sum(strand_count: int, items: Iterable[SkeinVector]) -> SkeinVector:
-    total = SkeinVector(strand_count)
-    for item in items:
-        total = total + item
-    return total

@@ -39,28 +39,6 @@ class FlypeInstance:
         if self.eps not in (1, -1):
             raise ValueError(f"eps must be +1 or -1, got {self.eps}")
 
-    def weights(self) -> TemplateWeights:
-        # every strand of the 3-braid template carries weight one
-        return TemplateWeights(1, 1, 1, 1)
-
-
-@dataclass(frozen=True)
-class TemplateWeights:
-    w: int
-    k: int
-    w_prime: int
-    k_prime: int
-
-    def __post_init__(self):
-        for name in ("w", "k", "w_prime", "k_prime"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"weight {name} must be non-negative")
-
-
-def admissible(t: TemplateWeights) -> bool:
-    """True when w' - k = k' - w >= 0."""
-    return t.w_prime - t.k == t.k_prime - t.w and t.w_prime - t.k >= 0
-
 
 def _power_block(index: int, power: int) -> list[int]:
     step = index if power > 0 else -index
@@ -153,6 +131,8 @@ def search_exchange_divergence(n: int = 4, max_block_len: int = 3) -> list[Diver
     """
     if n < 3:
         raise ValueError("exchange needs at least 3 strands")
+    if max_block_len < 0:
+        raise ValueError(f"block length bound must be >= 0, got {max_block_len}")
     hits = []
     for instance in enumerate_exchange_instances(n, max_block_len):
         left, right = exchange_pair(instance, n)

@@ -102,12 +102,6 @@ class BraidWord:
     def crossing_ids(self) -> tuple[int, ...]:
         return tuple(l.crossing_id for l in self.letters)
 
-    def letter_by_id(self, crossing_id: int) -> Letter:
-        for letter in self.letters:
-            if letter.crossing_id == crossing_id:
-                return letter
-        raise MoveError(f"no crossing with id {crossing_id}")
-
     # -- moves -------------------------------------------------------------
 
     def free_reduce(self) -> BraidWord:
@@ -210,10 +204,21 @@ class BraidWord:
         return BraidWord(self.strand_count, out, self.next_id)
 
 
+def _parse_int(token: str, what: str) -> int:
+    """ASCII decimal integer; int() alone would also take other scripts'
+    digits and underscores."""
+    if token.isascii() and "_" not in token:
+        try:
+            return int(token)
+        except ValueError:
+            pass
+    raise WordError(f"bad {what} token {token!r}")
+
+
 def parse_word(text: str) -> BraidWord:
     """Parse ``"n: i1 i2 ... ik"`` into a braid word.
 
-    ``n`` is the strand count; each ``ij`` is a nonzero integer with
+    ``n`` is the strand count; each ``ij`` is a nonzero ASCII integer with
     ``|ij| <= n-1``, positive for sigma_{ij} and negative for its inverse.
     Crossing ids are minted in letter order.  Inverse of
     :meth:`BraidWord.format`.
@@ -221,18 +226,12 @@ def parse_word(text: str) -> BraidWord:
     head, sep, body = text.partition(":")
     if not sep:
         raise WordError(f"expected 'n: letters', got {text!r}")
-    try:
-        n = int(head.strip())
-    except ValueError:
-        raise WordError(f"bad strand count token {head.strip()!r}") from None
+    n = _parse_int(head.strip(), "strand count")
     if n < 1:
         raise WordError(f"strand count must be >= 1, got {n}")
     signed = []
     for token in body.split():
-        try:
-            value = int(token)
-        except ValueError:
-            raise WordError(f"bad letter token {token!r}") from None
+        value = _parse_int(token, "letter")
         if value == 0 or abs(value) >= n:
             raise WordError(f"letter {token!r} out of range for {n} strands")
         signed.append(value)

@@ -225,6 +225,8 @@ def test_selftest_quick_json(capsys):
     ("parity", "xyz"),
     ("flype-test", "1", "2", "1", "0"),
     ("mfw", "2: 0"),
+    ("resolve", "3: 1 \u0662"),
+    ("exchange-search", "--max-len", "-1"),
 ])
 def test_bad_inputs_exit_two(capsys, argv):
     assert run(capsys, *argv)[0] == 2

@@ -17,6 +17,7 @@ from braidskein.homfly import (
     to_homfly,
 )
 from braidskein.resolution import resolve
+from braidskein.skein import A, A_INV, B, LaurentAB
 from braidskein.words import basis_braid, parse_word, partitions_of
 
 from test_words import words
@@ -54,6 +55,14 @@ def test_homfly_format():
     assert HomflyPoly.one().format() == "1"
     assert HomflyPoly.zero().format() == "0"
     assert DELTA.format() == "-l^-1*m^-1 - l*m^-1"
+
+
+def test_json_term_order():
+    ab = A + B * B + A_INV * B
+    assert list(ab.to_json_dict().items()) == [("1,0", 1), ("-1,1", 1), ("0,2", 1)]
+    assert list(TREFOIL.to_json_dict().items()) == [("-4,0", -1), ("-2,0", -2), ("-2,2", 1)]
+    assert list(jones(TREFOIL).to_json_dict().items()) == [("2", 1), ("6", 1), ("8", -1)]
+    assert LaurentAB.one() != HomflyPoly.one()
 
 
 # -- bridge -------------------------------------------------------------------------

@@ -6,16 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidskein.resolution import (
-    CompletedLabels,
-    FirstBad,
     Label,
-    canonical_basepoint,
     compare_basepoints,
     label_only,
     leaf_count,
     resolution_tree,
     resolve,
-    traverse,
     tree_vector,
 )
 from braidskein.skein import A, A_INV, B, LaurentAB, SkeinVector
@@ -46,38 +42,6 @@ def hecke2_vector(word: BraidWord) -> SkeinVector:
 # -- walks ---------------------------------------------------------------------
 
 
-def test_canonical_basepoint():
-    w = parse_word("2: 1")
-    assert canonical_basepoint(w, set()) == 1
-    assert canonical_basepoint(w, {1}) == 2
-    assert canonical_basepoint(w, {1, 2}) is None
-    assert canonical_basepoint(parse_word("2: 1 1"), {1}) == 2
-
-
-def test_traverse_finds_first_bad():
-    out = traverse(parse_word("2: 1 1 1"))
-    assert out == FirstBad(crossing_id=1, sign=1, position_entered=2)
-
-
-def test_traverse_completes_descending_word():
-    out = traverse(parse_word("2: 1 -1"))
-    assert isinstance(out, CompletedLabels)
-    assert out.labels == {0: Label.GOOD, 1: Label.GOOD}
-
-
-def test_traverse_respects_seed_labels():
-    w = parse_word("2: 1 1 1")
-    out = traverse(w, labels={1: Label.GOOD})
-    assert isinstance(out, CompletedLabels)
-    assert out.labels == {0: Label.GOOD, 1: Label.GOOD, 2: Label.GOOD}
-
-
-def test_traverse_does_not_mutate_seed():
-    seed = {}
-    traverse(parse_word("2: 1 -1"), labels=seed)
-    assert seed == {}
-
-
 def test_label_only_examples():
     assert label_only(parse_word("2: 1 1 1")) == {
         0: Label.GOOD, 1: Label.BAD, 2: Label.GOOD,
@@ -89,7 +53,7 @@ def test_label_only_examples():
 
 def test_basepoint_out_of_range():
     with pytest.raises(WordError):
-        traverse(parse_word("2: 1"), basepoint=3)
+        label_only(parse_word("2: 1"), basepoint=3)
     with pytest.raises(WordError):
         resolve(parse_word("2: 1"), basepoint=0)
 

@@ -1,4 +1,4 @@
-"""Flype and exchange templates, admissibility, and the divergence search."""
+"""Flype and exchange templates and the divergence search."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from braidskein.templates import (
     DivergencePair,
     ExchangeInstance,
     FlypeInstance,
-    TemplateWeights,
-    admissible,
     enumerate_exchange_instances,
     enumerate_flype_instances,
     exchange_pair,
@@ -77,19 +75,6 @@ def test_exchange_with_empty_v_resolves_equal():
     assert resolve(left) == resolve(right)
 
 
-def test_weights_examples():
-    assert admissible(TemplateWeights(1, 1, 1, 1))
-    assert not admissible(TemplateWeights(1, 2, 1, 2))
-    assert admissible(TemplateWeights(0, 1, 2, 1))
-    with pytest.raises(ValueError):
-        TemplateWeights(1, -1, 1, 1)
-
-
-def test_all_flype_instances_are_admissible():
-    for f in enumerate_flype_instances(1):
-        assert admissible(f.weights())
-
-
 def test_enumeration_counts():
     assert len(list(enumerate_flype_instances(2))) == 5 * 5 * 5 * 2
     assert len(list(enumerate_exchange_instances(3, 2))) == 7 * 7
@@ -145,3 +130,8 @@ def test_search_with_zero_block_length():
 def test_search_rejects_tiny_strand_counts():
     with pytest.raises(ValueError):
         search_exchange_divergence(2, 3)
+
+
+def test_search_rejects_negative_block_length():
+    with pytest.raises(ValueError):
+        search_exchange_divergence(4, -1)

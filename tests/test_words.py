@@ -45,6 +45,7 @@ def test_parse_basic():
     assert w.strand_count == 3
     assert w.signed_indices() == (1, -2, 1)
     assert w.crossing_ids() == (0, 1, 2)
+    assert parse_word(" 03 : +1 -02").signed_indices() == (1, -2)
 
 
 def test_parse_empty_word():
@@ -55,7 +56,9 @@ def test_parse_empty_word():
 
 
 def test_parse_rejects_garbage():
-    for bad in ["", "3", "x: 1", "3: 0", "3: 3", "3: -3", "3: 1 q", "0: "]:
+    # int() alone would take other scripts' digits and underscores
+    for bad in ["", "3", "x: 1", "3: 0", "3: 3", "3: -3", "3: 1 q", "0: ",
+                "3: 1 \u0662", "\u0663: 1", "3: \uff11", "12: 1_0", "1_2: 1"]:
         with pytest.raises(WordError):
             parse_word(bad)
 
