@@ -299,30 +299,23 @@ def criterion_10(max_block_len: int = 3) -> CriterionResult:
                            detail, time.perf_counter() - started)
 
 
+_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
+              criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
+
+# reduced scales for quick mode; criteria not named run at full scale
+_QUICK_SCALES = {
+    criterion_2: {"max_n": 5},
+    criterion_3: {"max_len": 4},
+    criterion_4: {"max_flype_power": 2, "max_exchange_len": 2},
+    criterion_5: {"samples": 120, "max_len": 8},
+    criterion_6: {"target_words": 5, "max_len": 8, "attempt_cap": 800},
+    criterion_7: {"samples": 40, "max_len": 8},
+    criterion_8: {"max_len": 4, "random_b4": 20, "b4_len": 6},
+    criterion_10: {"max_block_len": 2},
+}
+
+
 def run_all(quick: bool = False) -> list[CriterionResult]:
     """Run the gate; quick mode shrinks scales to finish within seconds."""
-    if quick:
-        return [
-            criterion_1(),
-            criterion_2(max_n=5),
-            criterion_3(max_len=4),
-            criterion_4(max_flype_power=2, max_exchange_len=2),
-            criterion_5(samples=120, max_len=8),
-            criterion_6(target_words=5, max_len=8, attempt_cap=800),
-            criterion_7(samples=40, max_len=8),
-            criterion_8(max_len=4, random_b4=20, b4_len=6),
-            criterion_9(),
-            criterion_10(max_block_len=2),
-        ]
-    return [
-        criterion_1(),
-        criterion_2(),
-        criterion_3(),
-        criterion_4(),
-        criterion_5(),
-        criterion_6(),
-        criterion_7(),
-        criterion_8(),
-        criterion_9(),
-        criterion_10(),
-    ]
+    return [criterion(**(_QUICK_SCALES.get(criterion, {}) if quick else {}))
+            for criterion in _CRITERIA]

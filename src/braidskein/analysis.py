@@ -35,7 +35,7 @@ class BadCount(NamedTuple):
         return self.positive_bad + self.negative_bad
 
 
-def bad_counts(word: BraidWord, basepoint: int | None = None) -> BadCount:
+def bad_counts(word: BraidWord, basepoint: int = 1) -> BadCount:
     """Count bad crossings by sign, from a full labeling walk."""
     labels = label_only(word, basepoint)
     by_id = {l.crossing_id: l.sign for l in word.letters}
@@ -86,7 +86,7 @@ class ParityReport:
         return f"k={self.k} p={self.positive_bad} n={self.negative_bad} {verdict}"
 
 
-def parity_consistency(word: BraidWord, basepoint: int | None = None) -> ParityReport:
+def parity_consistency(word: BraidWord, basepoint: int = 1) -> ParityReport:
     """Cross-check the vector's B-free exponent against the label counts.
 
     The two sides travel independent paths: k comes out of the resolved
@@ -118,7 +118,7 @@ class NugatoryScanReport:
         return all(entry.differs for entry in self.entries)
 
 
-def nugatory_scan(word: BraidWord, basepoint: int | None = None) -> NugatoryScanReport:
+def nugatory_scan(word: BraidWord, basepoint: int = 1) -> NugatoryScanReport:
     """Change each crossing in turn and compare outputs with the original.
 
     A crossing whose change preserved the output would be a candidate

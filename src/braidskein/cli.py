@@ -18,7 +18,7 @@ import sys
 
 from .acceptance import run_all
 from .analysis import nugatory_scan, odd_change_check, parity_consistency
-from .homfly import BraidIndexCertificate, certify_braid_index_3, homfly_oracle, jones, mfw_lower_bound, to_homfly
+from .homfly import BraidIndexCertificate, certify_braid_index_3, jones, mfw_lower_bound, to_homfly
 from .resolution import ResolutionNode, label_only, resolution_tree, resolve
 from .skein import partition_str
 from .templates import ExchangeInstance, FlypeInstance, exchange_pair, flype_pair, search_exchange_divergence
@@ -155,7 +155,7 @@ def _cmd_jones(args) -> int:
 
 
 def _cmd_mfw(args) -> int:
-    bound = mfw_lower_bound(homfly_oracle(parse_word(args.word)))
+    bound = mfw_lower_bound(to_homfly(resolve(parse_word(args.word))))
     if args.json:
         _print_json({"bound": bound})
     else:
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub = add(name, handler, help_text)
         sub.add_argument("word", help='braid word, e.g. "2: 1 1 1"')
         if basepoint:
-            sub.add_argument("--basepoint", type=int, default=None,
+            sub.add_argument("--basepoint", type=int, default=1,
                              help="start the walk at this strand (diagnostic)")
         return sub
 
@@ -270,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_word("homfly", _cmd_homfly, "polynomial in l and m via the bridge")
     add_word("jones", _cmd_jones, "Jones specialization in t")
-    add_word("mfw", _cmd_mfw, "braid index lower bound from the oracle")
+    add_word("mfw", _cmd_mfw, "braid index lower bound from the bridge")
     add_word("certify3", _cmd_certify3, "certify braid index 3 for a 3-strand word")
 
     flype = add("flype-test", _cmd_flype_test, "compare the two sides of a flype")

@@ -8,20 +8,23 @@ m parts by delta^(m-1), where delta = -(l + l^-1)*m^-1 is the value of a
 split unknotted component.  Because each branching step preserves the
 polynomial exactly, no writhe correction appears anywhere.
 
-The oracle computes the same polynomial straight from the word by its own
-walk (different basepoint rule, no label persistence, own component count)
-so that agreement with the bridge checks the whole resolution pipeline.
-Braid-index certification reads the l-breadth bound off the polynomial:
-half the breadth plus one never exceeds the braid index, so breadth 4 on a
-3-strand word certifies index exactly 3.  The bound is one-sided; inputs
-that fail it stay "Unknown", never "not 3".
+Every polynomial the package reports comes through the bridge.  The oracle
+is only a cross-check: it computes the same polynomial straight from the
+word by its own walk (different basepoint rule, no label persistence, own
+component count), so that agreement with the bridge checks the whole
+resolution pipeline.  Braid-index certification reads the l-breadth bound
+off the bridge image: half the breadth plus one never exceeds the braid
+index, so breadth 4 on a 3-strand word certifies index exactly 3.  The
+bound is one-sided; inputs that fail it stay "Unknown", never "not 3".
 """
 
 from __future__ import annotations
 
 import enum
+from itertools import accumulate
 from math import comb
 
+from .resolution import resolve
 from .skein import Laurent, SkeinVector
 from .words import BraidWord
 
@@ -41,19 +44,24 @@ DELTA = HomflyPoly({(1, -1): -1, (-1, -1): -1})  # value of a split unknot
 
 
 def to_homfly(vector: SkeinVector) -> HomflyPoly:
-    """Evaluate a resolution vector as a polynomial in l and m."""
-    total = HomflyPoly.zero()
+    """Evaluate a resolution vector as a polynomial in l and m.
+
+    Substituted entries are summed per component count k first, so
+    sum_k P_k * DELTA^(k-1) takes one product by DELTA per count (Horner).
+    """
+    by_count: dict[int, dict[tuple[int, int], int]] = {}
     for parts, poly in vector.entries().items():
-        subbed: dict[tuple[int, int], int] = {}
+        subbed = by_count.setdefault(len(parts), {})
         for (a, b), c in poly.terms().items():
             # c*A^a*B^b becomes c*(-1)^(a+b) * l^(-2a-b) * m^b
             sign = -1 if (a + b) % 2 else 1
             key = (-2 * a - b, b)
             subbed[key] = subbed.get(key, 0) + sign * c
-        weight = HomflyPoly.one()
-        for _ in range(len(parts) - 1):
-            weight = weight * DELTA
-        total = total + HomflyPoly(subbed) * weight
+    total = HomflyPoly.zero()
+    for k in range(max(by_count, default=0), 0, -1):
+        total = total * DELTA
+        if k in by_count:
+            total = total + HomflyPoly(by_count[k])
     return total
 
 
@@ -167,7 +175,7 @@ def certify_braid_index_3(word: BraidWord) -> BraidIndexCertificate:
         raise ValueError(
             f"certification needs a 3-strand word, got {word.strand_count}"
         )
-    if mfw_lower_bound(homfly_oracle(word)) == 3:
+    if mfw_lower_bound(to_homfly(resolve(word))) == 3:
         return BraidIndexCertificate.CERTIFIED
     return BraidIndexCertificate.UNKNOWN
 
@@ -179,12 +187,22 @@ class JonesPoly(Laurent):
     """Integer Laurent polynomial in the square root of t.
 
     Keys of the term map are exponents of t^(1/2), so key 2 is t and key -1
-    is t^(-1/2).  The inherited ``monomial`` and product work on exponent
-    pairs only; nothing needs either for Jones polynomials.
+    is t^(-1/2); ``monomial`` and the product work on these int keys.
     """
 
     __slots__ = ()
     _one_key = 0
+
+    @classmethod
+    def monomial(cls, coeff: int, e: int = 0) -> JonesPoly:
+        return cls({e: coeff})
+
+    def __mul__(self, other: JonesPoly) -> JonesPoly:
+        out: dict[int, int] = {}
+        for e1, c1 in self._terms.items():
+            for e2, c2 in other._terms.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        return type(self)(out)
 
     def _powers(self, e: int) -> list[str]:
         if not e:
@@ -198,22 +216,6 @@ class JonesPoly(Laurent):
     _parse_key = staticmethod(int)
 
 
-def _divide_by_qinv_minus_q(poly: dict[int, int]) -> dict[int, int]:
-    """Exact division by (q^-1 - q) in integer Laurent polynomials."""
-    if not poly:
-        return {}
-    shifted = {e + 1: c for e, c in poly.items()}  # divide by q^-1*(1 - q^2)
-    lo, hi = min(shifted), max(shifted)
-    out: dict[int, int] = {}
-    for e in range(lo, hi + 1):
-        value = shifted.get(e, 0) + out.get(e - 2, 0)
-        if value:
-            out[e] = value
-    if out.get(hi, 0) or out.get(hi - 1, 0):
-        raise ValueError("polynomial is not divisible by (q^-1 - q)")
-    return {e: c for e, c in out.items() if e <= hi - 2 and c}
-
-
 def jones(h: HomflyPoly) -> JonesPoly:
     """Specialize with l = i*t^-1 and m = i*(t^(-1/2) - t^(1/2)).
 
@@ -224,7 +226,10 @@ def jones(h: HomflyPoly) -> JonesPoly:
     if not terms:
         return JonesPoly()
     clear = max(0, -min(me for _, me in terms))
-    numerator: dict[int, int] = {}
+    # dense coefficients of q^lo, q^(lo+1), ...
+    lo = min(-2 * le - me - clear for le, me in terms)
+    hi = max(-2 * le + me + clear for le, me in terms)
+    coeffs = [0] * (hi - lo + 1)
     for (le, me), c in terms.items():
         if (le + me) % 2:
             raise ValueError("l and m exponents must have even sum")
@@ -232,10 +237,14 @@ def jones(h: HomflyPoly) -> JonesPoly:
         # c * q^(-2*le) * (q^-1 - q)^(me + clear)
         k = me + clear
         for j in range(k + 1):
-            e = -2 * le + 2 * j - k
-            coeff = sign * c * comb(k, j) * (-1 if j % 2 else 1)
-            numerator[e] = numerator.get(e, 0) + coeff
-    numerator = {e: c for e, c in numerator.items() if c}
+            coeffs[-2 * le + 2 * j - k - lo] += sign * c * comb(k, j) * (-1) ** j
     for _ in range(clear):
-        numerator = _divide_by_qinv_minus_q(numerator)
-    return JonesPoly(numerator)
+        # divide by q^-1 - q = q^-1 * (1 - q^2): running sums along each
+        # exponent parity, then the q^-1 shifts the low exponent up by one
+        coeffs[0::2] = accumulate(coeffs[0::2])
+        coeffs[1::2] = accumulate(coeffs[1::2])
+        if any(coeffs[-2:]):
+            raise ValueError("polynomial is not divisible by (q^-1 - q)")
+        del coeffs[-2:]
+        lo += 1
+    return JonesPoly({lo + i: c for i, c in enumerate(coeffs) if c})

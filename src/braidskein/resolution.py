@@ -79,10 +79,8 @@ def _walk(word: BraidWord, basepoint: int, labels: dict[int, Label],
             return None
 
 
-def label_only(word: BraidWord, basepoint: int | None = None) -> dict[int, Label]:
+def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
     """Label every crossing good or bad without resolving anything."""
-    if basepoint is None:
-        basepoint = 1
     _check_basepoint(word, basepoint)
     state: dict[int, Label] = {}
     _walk(word, basepoint, state, stop_on_bad=False)
@@ -94,7 +92,7 @@ def label_only(word: BraidWord, basepoint: int | None = None) -> dict[int, Label
 _UNSEEN, _GOOD, _GONE = 0, 1, 2
 
 
-def resolve(word: BraidWord, basepoint: int | None = None) -> SkeinVector:
+def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
     """Resolve the closure into its combination of unlink patterns.
 
     The result never depends on crossing ids.  It can depend on the
@@ -105,8 +103,6 @@ def resolve(word: BraidWord, basepoint: int | None = None) -> SkeinVector:
     framed-link polynomial obtained through the bridge module.
     """
     n = word.strand_count
-    if basepoint is None:
-        basepoint = 1
     _check_basepoint(word, basepoint)
 
     indices = tuple(l.index for l in word.letters)
@@ -198,15 +194,13 @@ class ResolutionNode:
         return cycle_type(permutation(self.word))
 
 
-def resolution_tree(word: BraidWord, basepoint: int | None = None) -> ResolutionNode:
+def resolution_tree(word: BraidWord, basepoint: int = 1) -> ResolutionNode:
     """Materialize the full branching as a tree of diagrams.
 
     Unlike :func:`resolve`, every node re-runs the walk from the original
     basepoint on its own word; inherited labels make the replay
     deterministic.  The tree always sums to the resolve() vector.
     """
-    if basepoint is None:
-        basepoint = 1
     _check_basepoint(word, basepoint)
 
     def build(current: BraidWord, inherited: dict[int, Label],

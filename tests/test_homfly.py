@@ -17,7 +17,7 @@ from braidskein.homfly import (
     to_homfly,
 )
 from braidskein.resolution import resolve
-from braidskein.skein import A, A_INV, B, LaurentAB
+from braidskein.skein import A, A_INV, B, LaurentAB, SkeinVector
 from braidskein.words import basis_braid, parse_word, partitions_of
 
 from test_words import words
@@ -80,6 +80,10 @@ def test_bridge_unknots():
 def test_bridge_split_unlinks():
     assert to_homfly(resolve(parse_word("2:"))) == DELTA
     assert to_homfly(resolve(parse_word("3:"))) == DELTA * DELTA
+    # no two-component entry: Horner still multiplies by DELTA at that count
+    gap = SkeinVector(3, {(3,): A, (1, 1, 1): B})
+    assert to_homfly(gap) == (HomflyPoly({(-2, 0): -1})
+                              + HomflyPoly({(-1, 1): -1}) * DELTA * DELTA)
 
 
 def test_basis_words_map_to_delta_powers():
@@ -163,6 +167,23 @@ def test_jones_reference_values():
 def test_jones_rejects_odd_exponent_sums():
     with pytest.raises(ValueError):
         jones(HomflyPoly.monomial(1, 1, 0))
+
+
+def test_jones_rejects_a_remainder():
+    # l*m^-1 clears to a single q-power, which (q^-1 - q) does not divide
+    with pytest.raises(ValueError, match="not divisible"):
+        jones(HomflyPoly({(1, -1): 1}))
+
+
+def test_jones_is_a_ring_map():
+    assert jones(TREFOIL * DELTA) == jones(TREFOIL) * jones(DELTA)
+    assert jones(FIGURE_EIGHT * FIGURE_EIGHT) == jones(FIGURE_EIGHT) * jones(FIGURE_EIGHT)
+
+
+def test_jones_monomial():
+    assert JonesPoly.monomial(3, 2).format() == "3*t"
+    assert JonesPoly.monomial(-1, -1) == JonesPoly({-1: -1})
+    assert JonesPoly.monomial(1) == JonesPoly.one()
 
 
 @given(words(max_strands=3, max_len=8))
