@@ -12,7 +12,6 @@ seeded, so repeated runs check the same cases.
 
 from __future__ import annotations
 
-import itertools
 import random
 import time
 from dataclasses import dataclass
@@ -36,7 +35,7 @@ from .templates import (
     flype_pair,
     search_exchange_divergence,
 )
-from .words import BraidWord, MoveError, basis_braid, parse_word, partitions_of
+from .words import BraidWord, MoveError, basis_braid, parse_word, partitions_of, signed_words
 
 SEED = 20260825
 
@@ -63,12 +62,6 @@ def _random_word(rng: random.Random, n: int, max_len: int, min_len: int = 0) -> 
     length = rng.randint(min_len, max_len)
     signed = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)]
     return BraidWord.from_signed(n, signed)
-
-
-def _iter_signed_words(n: int, max_len: int):
-    alphabet = [g * s for g in range(1, n) for s in (1, -1)]
-    for length in range(max_len + 1):
-        yield from itertools.product(alphabet, repeat=length)
 
 
 def criterion_1() -> CriterionResult:
@@ -123,7 +116,7 @@ def criterion_3(max_len: int = 7) -> CriterionResult:
         return found
 
     words = failures = 0
-    for signed in _iter_signed_words(3, max_len):
+    for signed in signed_words(3, max_len):
         word = BraidWord.from_signed(3, signed)
         base = cached(word)
         words += 1
@@ -254,7 +247,7 @@ def criterion_8(max_len: int = 7, random_b4: int = 200,
     failures = 0
     checked = 0
     for n in (2, 3):
-        for signed in _iter_signed_words(n, max_len):
+        for signed in signed_words(n, max_len):
             word = BraidWord.from_signed(n, signed)
             checked += 1
             if homfly.to_homfly(resolve(word)) != homfly_oracle(word):

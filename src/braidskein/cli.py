@@ -7,7 +7,11 @@ machine form), diagnostics to stderr.  Exit status 0 means the command ran
 and, for verdict commands, the verdict held; 1 means a verdict failed
 (a parity mismatch, unequal template sides, an Unknown certificate, an
 output-preserving crossing change, a failing self test); 2 means the
-invocation itself was unusable.
+invocation itself was unusable; 3 means an internal error (for example an
+exhausted recursion limit), reported on stderr with nothing on stdout.
+
+Each command handler returns an :data:`Output` and prints nothing;
+:func:`main` writes whichever form was asked for.
 """
 
 from __future__ import annotations
@@ -24,31 +28,22 @@ from .skein import partition_str
 from .templates import ExchangeInstance, FlypeInstance, exchange_pair, flype_pair, search_exchange_divergence
 from .words import BraidWord, MoveError, WordError, parse_word
 
+# (exit code, data for --json, lines of text)
+Output = tuple[int, object, list[str]]
 
-def _print_json(data) -> None:
-    print(json.dumps(data, indent=2))
 
-
-def _cmd_resolve(args) -> int:
+def _cmd_resolve(args) -> Output:
     vector = resolve(parse_word(args.word), args.basepoint)
-    if args.json:
-        _print_json({"strand_count": vector.strand_count,
-                     "entries": vector.to_json_dict()})
-    else:
-        print(vector.format())
-    return 0
+    data = {"strand_count": vector.strand_count, "entries": vector.to_json_dict()}
+    return 0, data, [vector.format()]
 
 
-def _cmd_labels(args) -> int:
+def _cmd_labels(args) -> Output:
     word = parse_word(args.word)
     labels = label_only(word, args.basepoint)
-    if args.json:
-        _print_json({str(l.crossing_id): labels[l.crossing_id].value
-                     for l in word.letters})
-    else:
-        for letter in word.letters:
-            print(f"{letter.crossing_id}: {labels[letter.crossing_id].value}")
-    return 0
+    values = [(l.crossing_id, labels[l.crossing_id].value) for l in word.letters]
+    lines = [f"{cid}: {value}" for cid, value in values]
+    return 0, {str(cid): value for cid, value in values}, lines
 
 
 def _tree_lines(node: ResolutionNode, depth: int, lines: list[str]) -> None:
@@ -72,170 +67,132 @@ def _tree_json(node: ResolutionNode) -> dict:
     return data
 
 
-def _cmd_tree(args) -> int:
+def _cmd_tree(args) -> Output:
     root = resolution_tree(parse_word(args.word), args.basepoint)
-    if args.json:
-        _print_json(_tree_json(root))
-    else:
-        lines: list[str] = []
-        _tree_lines(root, 0, lines)
-        print("\n".join(lines))
-    return 0
+    lines: list[str] = []
+    _tree_lines(root, 0, lines)
+    # Every JSON node copies the full label map, so build it only on request.
+    return 0, _tree_json(root) if args.json else None, lines
 
 
-def _cmd_parity(args) -> int:
+def _cmd_parity(args) -> Output:
     report = parity_consistency(parse_word(args.word), args.basepoint)
-    if args.json:
-        _print_json({"k": report.k, "p": report.positive_bad,
-                     "n": report.negative_bad, "ok": report.ok})
-    else:
-        print(report.format())
-    return 0 if report.ok else 1
+    data = {"k": report.k, "p": report.positive_bad, "n": report.negative_bad, "ok": report.ok}
+    return 0 if report.ok else 1, data, [report.format()]
 
 
-def _cmd_nugatory(args) -> int:
+def _cmd_nugatory(args) -> Output:
     report = nugatory_scan(parse_word(args.word), args.basepoint)
-    if args.json:
-        _print_json({
-            "base": report.base_vector.to_json_dict(),
-            "crossings": [
-                {"id": entry.crossing_id,
-                 "differs": entry.differs,
-                 "bfree_delta": entry.bfree_delta,
-                 "vector": entry.changed_vector.to_json_dict()}
-                for entry in report.entries
-            ],
-            "all_differ": report.all_differ,
-        })
-    else:
-        print(f"base: {report.base_vector.format()}")
-        for entry in report.entries:
-            verdict = "different" if entry.differs else "UNCHANGED"
-            print(f"{entry.crossing_id}: {verdict} delta={entry.bfree_delta:+d}")
-        print(f"all-differ: {'yes' if report.all_differ else 'no'}")
-    return 0 if report.all_differ else 1
+    data = {
+        "base": report.base_vector.to_json_dict(),
+        "crossings": [
+            {"id": entry.crossing_id,
+             "differs": entry.differs,
+             "bfree_delta": entry.bfree_delta,
+             "vector": entry.changed_vector.to_json_dict()}
+            for entry in report.entries
+        ],
+        "all_differ": report.all_differ,
+    }
+    lines = [f"base: {report.base_vector.format()}"]
+    for entry in report.entries:
+        verdict = "different" if entry.differs else "UNCHANGED"
+        lines.append(f"{entry.crossing_id}: {verdict} delta={entry.bfree_delta:+d}")
+    lines.append(f"all-differ: {'yes' if report.all_differ else 'no'}")
+    return 0 if report.all_differ else 1, data, lines
 
 
-def _cmd_odd_change(args) -> int:
+def _cmd_odd_change(args) -> Output:
     report = odd_change_check(parse_word(args.word), args.ids)
-    if args.json:
-        _print_json({
-            "ids": list(report.crossing_ids),
-            "odd": report.odd,
-            "original": report.original_vector.to_json_dict(),
-            "changed": report.changed_vector.to_json_dict(),
-            "differs": report.differs,
-            "ok": report.ok,
-        })
-    else:
-        print(f"original: {report.original_vector.format()}")
-        print(f"changed:  {report.changed_vector.format()}")
-        print(f"ids: {' '.join(str(i) for i in report.crossing_ids)} "
-              f"({'odd' if report.odd else 'even'})")
-        print(f"verdict: {'different' if report.differs else 'unchanged'}")
-    return 0 if report.ok else 1
+    data = {
+        "ids": list(report.crossing_ids),
+        "odd": report.odd,
+        "original": report.original_vector.to_json_dict(),
+        "changed": report.changed_vector.to_json_dict(),
+        "differs": report.differs,
+        "ok": report.ok,
+    }
+    lines = [
+        f"original: {report.original_vector.format()}",
+        f"changed:  {report.changed_vector.format()}",
+        f"ids: {' '.join(str(i) for i in report.crossing_ids)} ({'odd' if report.odd else 'even'})",
+        f"verdict: {'different' if report.differs else 'unchanged'}",
+    ]
+    return 0 if report.ok else 1, data, lines
 
 
-def _cmd_homfly(args) -> int:
+def _cmd_homfly(args) -> Output:
     poly = to_homfly(resolve(parse_word(args.word)))
-    if args.json:
-        _print_json({"terms": poly.to_json_dict()})
-    else:
-        print(poly.format())
-    return 0
+    return 0, {"terms": poly.to_json_dict()}, [poly.format()]
 
 
-def _cmd_jones(args) -> int:
+def _cmd_jones(args) -> Output:
     poly = jones(to_homfly(resolve(parse_word(args.word))))
-    if args.json:
-        _print_json({"terms": poly.to_json_dict(), "unit": "t^(1/2)"})
-    else:
-        print(poly.format())
-    return 0
+    return 0, {"terms": poly.to_json_dict(), "unit": "t^(1/2)"}, [poly.format()]
 
 
-def _cmd_mfw(args) -> int:
+def _cmd_mfw(args) -> Output:
     bound = mfw_lower_bound(to_homfly(resolve(parse_word(args.word))))
-    if args.json:
-        _print_json({"bound": bound})
-    else:
-        print(bound)
-    return 0
+    return 0, {"bound": bound}, [str(bound)]
 
 
-def _cmd_certify3(args) -> int:
+def _cmd_certify3(args) -> Output:
     certificate = certify_braid_index_3(parse_word(args.word))
-    if args.json:
-        _print_json({"certificate": certificate.value})
-    else:
-        print(certificate.value)
-    return 0 if certificate is BraidIndexCertificate.CERTIFIED else 1
+    code = 0 if certificate is BraidIndexCertificate.CERTIFIED else 1
+    return code, {"certificate": certificate.value}, [certificate.value]
 
 
-def _compare_sides(args, left: BraidWord, right: BraidWord) -> int:
-    """Print both sides of a template and whether they resolve equally."""
+def _compare_sides(left: BraidWord, right: BraidWord) -> Output:
+    """Both sides of a template and whether they resolve equally."""
     equal = resolve(left) == resolve(right)
-    if args.json:
-        _print_json({"left": left.format(), "right": right.format(), "equal": equal})
-    else:
-        print(f"left:  {left.format()}")
-        print(f"right: {right.format()}")
-        print(f"verdict: {'equal' if equal else 'DIFFERENT'}")
-    return 0 if equal else 1
+    data = {"left": left.format(), "right": right.format(), "equal": equal}
+    lines = [f"left:  {left.format()}", f"right: {right.format()}",
+             f"verdict: {'equal' if equal else 'DIFFERENT'}"]
+    return 0 if equal else 1, data, lines
 
 
-def _cmd_flype_test(args) -> int:
-    left, right = flype_pair(FlypeInstance(args.a, args.b, args.c, args.eps))
-    return _compare_sides(args, left, right)
+def _cmd_flype_test(args) -> Output:
+    return _compare_sides(*flype_pair(FlypeInstance(args.a, args.b, args.c, args.eps)))
 
 
-def _cmd_exchange_test(args) -> int:
+def _cmd_exchange_test(args) -> Output:
     u = parse_word(args.u)
     v = parse_word(args.v)
     if u.strand_count != v.strand_count:
         raise WordError("blocks u and v must have the same strand count")
-    n = u.strand_count + 1
-    left, right = exchange_pair(ExchangeInstance(u, v), n)
-    return _compare_sides(args, left, right)
+    return _compare_sides(*exchange_pair(ExchangeInstance(u, v), u.strand_count + 1))
 
 
-def _cmd_exchange_search(args) -> int:
+def _cmd_exchange_search(args) -> Output:
     hits = search_exchange_divergence(4, args.max_len)
     knots = sum(1 for hit in hits if hit.is_knot)
-    if args.json:
-        _print_json({
-            "max_block_len": args.max_len,
-            "pairs": [
-                {"left": hit.left.format(), "right": hit.right.format(),
-                 "left_vector": hit.left_vector.to_json_dict(),
-                 "right_vector": hit.right_vector.to_json_dict(),
-                 "oracle_equal": hit.oracle_equal, "is_knot": hit.is_knot}
-                for hit in hits
-            ],
-            "count": len(hits),
-            "knot_count": knots,
-        })
-    else:
-        print(f"diverging pairs: {len(hits)} (block length <= {args.max_len}), "
-              f"{knots} close to knots")
-        for hit in hits:
-            flags = f"knot={'yes' if hit.is_knot else 'no'} oracle={'ok' if hit.oracle_equal else 'MISMATCH'}"
-            print(f"{hit.left.format()} | {hit.right.format()} {flags}")
-    return 0
+    data = {
+        "max_block_len": args.max_len,
+        "pairs": [
+            {"left": hit.left.format(), "right": hit.right.format(),
+             "left_vector": hit.left_vector.to_json_dict(),
+             "right_vector": hit.right_vector.to_json_dict(),
+             "oracle_equal": hit.oracle_equal, "is_knot": hit.is_knot}
+            for hit in hits
+        ],
+        "count": len(hits),
+        "knot_count": knots,
+    }
+    lines = [f"diverging pairs: {len(hits)} (block length <= {args.max_len}), {knots} close to knots"]
+    for hit in hits:
+        flags = f"knot={'yes' if hit.is_knot else 'no'} oracle={'ok' if hit.oracle_equal else 'MISMATCH'}"
+        lines.append(f"{hit.left.format()} | {hit.right.format()} {flags}")
+    return 0, data, lines
 
 
-def _cmd_selftest(args) -> int:
+def _cmd_selftest(args) -> Output:
     results = run_all(quick=args.quick)
-    if args.json:
-        _print_json([
-            {"number": r.number, "name": r.name, "passed": r.passed,
-             "detail": r.detail, "seconds": round(r.seconds, 3)}
-            for r in results
-        ])
-    else:
-        for result in results:
-            print(result.format())
-    return 0 if all(r.passed for r in results) else 1
+    data = [
+        {"number": r.number, "name": r.name, "passed": r.passed,
+         "detail": r.detail, "seconds": round(r.seconds, 3)}
+        for r in results
+    ]
+    return 0 if all(r.passed for r in results) else 1, data, [r.format() for r in results]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,10 +258,19 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as stop:
         return 0 if stop.code in (0, None) else 2
     try:
-        return args.handler(args)
+        code, data, lines = args.handler(args)
+        if args.json:
+            print(json.dumps(data, indent=2))
+        else:
+            for line in lines:
+                print(line)
+        return code
     except (WordError, MoveError, ValueError) as problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
+    except Exception as problem:
+        print(f"internal error: {type(problem).__name__}: {problem}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -206,12 +206,6 @@ class SkeinVector:
     def entries(self) -> dict[tuple[int, ...], LaurentAB]:
         return dict(self._entries)
 
-    def coefficient(self, parts: tuple[int, ...]) -> LaurentAB:
-        return self._entries.get(tuple(parts), LaurentAB.zero())
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SkeinVector)
@@ -234,13 +228,6 @@ class SkeinVector:
         out = dict(self._entries)
         for parts, poly in other._entries.items():
             out[parts] = out.get(parts, LaurentAB.zero()) + poly
-        return SkeinVector(self.strand_count, out)
-
-    def __sub__(self, other: SkeinVector) -> SkeinVector:
-        self._check_like(other)
-        out = dict(self._entries)
-        for parts, poly in other._entries.items():
-            out[parts] = out.get(parts, LaurentAB.zero()) - poly
         return SkeinVector(self.strand_count, out)
 
     def scale(self, factor: LaurentAB) -> SkeinVector:

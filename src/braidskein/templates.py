@@ -22,7 +22,7 @@ from typing import Iterator
 from .homfly import homfly_oracle
 from .resolution import resolve
 from .skein import SkeinVector
-from .words import BraidWord, MoveError, cycle_type, permutation
+from .words import BraidWord, MoveError, cycle_type, permutation, signed_words
 
 
 @dataclass(frozen=True)
@@ -91,19 +91,9 @@ def enumerate_flype_instances(max_power: int) -> Iterator[FlypeInstance]:
         yield FlypeInstance(a, b, c, eps)
 
 
-def _block_words(n: int, max_len: int) -> list[BraidWord]:
-    """All words on n strands up to max_len letters, shortest first."""
-    alphabet = [g * s for g in range(1, n) for s in (1, -1)]
-    out = []
-    for length in range(max_len + 1):
-        for combo in itertools.product(alphabet, repeat=length):
-            out.append(BraidWord.from_signed(n, combo))
-    return out
-
-
 def enumerate_exchange_instances(n: int, max_block_len: int) -> Iterator[ExchangeInstance]:
     """All block pairs for n-strand exchange with |u|, |v| <= max_block_len."""
-    blocks = _block_words(n - 1, max_block_len)
+    blocks = [BraidWord.from_signed(n - 1, signed) for signed in signed_words(n - 1, max_block_len)]
     for u, v in itertools.product(blocks, repeat=2):
         yield ExchangeInstance(u, v)
 

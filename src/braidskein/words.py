@@ -12,16 +12,18 @@ position i passes OVER the strand entering at position i+1; at a negative
 letter it passes under.  Every output of the package is tied to this choice;
 the opposite choice mirrors all results.
 
-Each letter carries a ``crossing_id`` that is stable under every move that
-keeps the crossing (sign changes, reordering, deletion of other letters).
-Only insertion of new letters mints new ids, and ids are never recycled
-within a word's lifetime.
+Each letter carries a ``crossing_id``: its position in the word as parsed, or
+as built by :meth:`BraidWord.from_signed`, counting from 0.  Every move
+below keeps the ids of the crossings it keeps (sign changes, reordering,
+deletion of other letters), and no move inserts letters, so an id names
+the same crossing in every word derived from the original.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+import itertools
+from dataclasses import dataclass
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class WordError(ValueError):
@@ -40,16 +42,10 @@ class Letter(NamedTuple):
 
 @dataclass(frozen=True)
 class BraidWord:
-    """An n-strand braid word.  Immutable; every move returns a new word.
-
-    ``next_id`` is the smallest crossing id never used by this word or any
-    ancestor it was derived from; it is bookkeeping only and does not take
-    part in equality.
-    """
+    """An n-strand braid word.  Immutable; every move returns a new word."""
 
     strand_count: int
     letters: tuple[Letter, ...]
-    next_id: int | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.strand_count < 1:
@@ -66,15 +62,12 @@ class BraidWord:
             if letter.crossing_id in seen_ids:
                 raise WordError(f"duplicate crossing id {letter.crossing_id}")
             seen_ids.add(letter.crossing_id)
-        if self.next_id is None:
-            fresh = 1 + max(seen_ids) if seen_ids else 0
-            object.__setattr__(self, "next_id", fresh)
 
     # -- construction ------------------------------------------------------
 
     @staticmethod
     def from_signed(strand_count: int, signed_indices: Iterable[int]) -> BraidWord:
-        """Build a word from signed generator indices, minting ids in order."""
+        """Build a word from signed generator indices, numbering ids from 0."""
         letters = []
         for k, s in enumerate(signed_indices):
             if s == 0:
@@ -112,7 +105,7 @@ class BraidWord:
                 stack.pop()
             else:
                 stack.append(letter)
-        return BraidWord(self.strand_count, tuple(stack), self.next_id)
+        return BraidWord(self.strand_count, tuple(stack))
 
     def apply_braid_relation_at(self, position: int) -> BraidWord:
         """Rewrite by the braid relation whose pattern starts at ``position``.
@@ -129,7 +122,7 @@ class BraidWord:
             x, y = ls[position], ls[position + 1]
             if abs(x.index - y.index) > 1:
                 swapped = ls[:position] + (y, x) + ls[position + 2:]
-                return BraidWord(self.strand_count, swapped, self.next_id)
+                return BraidWord(self.strand_count, swapped)
         if position + 2 < len(ls):
             x, y, z = ls[position:position + 3]
             same_sign = x.sign == y.sign == z.sign
@@ -139,7 +132,7 @@ class BraidWord:
                     Letter(x.index, y.sign, y.crossing_id),
                     Letter(y.index, z.sign, z.crossing_id),
                 )
-                return BraidWord(self.strand_count, ls[:position] + new + ls[position + 3:], self.next_id)
+                return BraidWord(self.strand_count, ls[:position] + new + ls[position + 3:])
         raise MoveError(f"no braid relation applies at position {position}")
 
     def cyclic_rotate(self, k: int) -> BraidWord:
@@ -147,40 +140,7 @@ class BraidWord:
         if not self.letters:
             return self
         k %= len(self.letters)
-        return BraidWord(self.strand_count, self.letters[k:] + self.letters[:k], self.next_id)
-
-    def conjugate_by(self, a: BraidWord) -> BraidWord:
-        """Return a * self * a^{-1}; the inserted letters get fresh ids."""
-        if a.strand_count != self.strand_count:
-            raise MoveError(
-                f"conjugator has {a.strand_count} strands, word has {self.strand_count}"
-            )
-        nid = self.next_id
-        front = []
-        for letter in a.letters:
-            front.append(Letter(letter.index, letter.sign, nid))
-            nid += 1
-        back = []
-        for letter in reversed(a.letters):
-            back.append(Letter(letter.index, -letter.sign, nid))
-            nid += 1
-        return BraidWord(self.strand_count, tuple(front) + self.letters + tuple(back), nid)
-
-    def stabilize(self, sign: int) -> BraidWord:
-        """Append sigma_n^{sign} on a new strand n+1."""
-        if sign not in (1, -1):
-            raise MoveError(f"stabilization sign must be +1 or -1, got {sign}")
-        new_letter = Letter(self.strand_count, sign, self.next_id)
-        return BraidWord(self.strand_count + 1, self.letters + (new_letter,), self.next_id + 1)
-
-    def destabilize(self) -> BraidWord:
-        """Inverse of stabilize: strip a final sigma_{n-1}^{+-1} occurring once."""
-        top = self.strand_count - 1
-        if not self.letters or self.letters[-1].index != top:
-            raise MoveError("last letter is not on the top generator")
-        if sum(1 for l in self.letters if l.index == top) != 1:
-            raise MoveError("top generator occurs more than once")
-        return BraidWord(self.strand_count - 1, self.letters[:-1], self.next_id)
+        return BraidWord(self.strand_count, self.letters[k:] + self.letters[:k])
 
     def change_crossing(self, crossing_id: int) -> BraidWord:
         """Flip the sign of one crossing, keeping its id."""
@@ -194,14 +154,14 @@ class BraidWord:
                 out.append(letter)
         if not found:
             raise MoveError(f"no crossing with id {crossing_id}")
-        return BraidWord(self.strand_count, tuple(out), self.next_id)
+        return BraidWord(self.strand_count, tuple(out))
 
     def delete_crossing(self, crossing_id: int) -> BraidWord:
         """Remove one crossing (the oriented smoothing of the skein relation)."""
         out = tuple(l for l in self.letters if l.crossing_id != crossing_id)
         if len(out) == len(self.letters):
             raise MoveError(f"no crossing with id {crossing_id}")
-        return BraidWord(self.strand_count, out, self.next_id)
+        return BraidWord(self.strand_count, out)
 
 
 def _parse_int(token: str, what: str) -> int:
@@ -220,7 +180,7 @@ def parse_word(text: str) -> BraidWord:
 
     ``n`` is the strand count; each ``ij`` is a nonzero ASCII integer with
     ``|ij| <= n-1``, positive for sigma_{ij} and negative for its inverse.
-    Crossing ids are minted in letter order.  Inverse of
+    Crossing ids number the letters from 0.  Inverse of
     :meth:`BraidWord.format`.
     """
     head, sep, body = text.partition(":")
@@ -236,6 +196,14 @@ def parse_word(text: str) -> BraidWord:
             raise WordError(f"letter {token!r} out of range for {n} strands")
         signed.append(value)
     return BraidWord.from_signed(n, signed)
+
+
+def signed_words(n: int, max_len: int) -> Iterator[tuple[int, ...]]:
+    """Signed indices of every n-strand word of at most max_len letters,
+    shortest first, in lexicographic order of the alphabet 1, -1, 2, -2, ..."""
+    alphabet = [g * s for g in range(1, n) for s in (1, -1)]
+    for length in range(max_len + 1):
+        yield from itertools.product(alphabet, repeat=length)
 
 
 # -- permutations and partitions -------------------------------------------

@@ -230,3 +230,11 @@ def test_selftest_quick_json(capsys):
 ])
 def test_bad_inputs_exit_two(capsys, argv):
     assert run(capsys, *argv)[0] == 2
+
+
+def test_internal_error_exits_three(capsys):
+    code, out, err = run(capsys, "tree", "2:" + " -1" * 2100)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("internal error: RecursionError")
+    assert err.count("\n") == 1

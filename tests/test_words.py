@@ -16,6 +16,7 @@ from braidskein.words import (
     parse_word,
     partitions_of,
     permutation,
+    signed_words,
 )
 
 
@@ -230,42 +231,10 @@ def test_rotation_preserves_cycle_type(w, k):
     assert cycle_type(permutation(w.cyclic_rotate(k))) == cycle_type(permutation(w))
 
 
-def test_conjugate_by_mints_fresh_ids():
-    w = parse_word("2: 1 1 1")
-    c = w.conjugate_by(parse_word("2: 1"))
-    assert c.signed_indices() == (1, 1, 1, 1, -1)
-    assert c.crossing_ids() == (3, 0, 1, 2, 4)
-    assert c.next_id == 5
-
-
-def test_conjugate_strand_mismatch():
-    with pytest.raises(MoveError):
-        parse_word("2: 1").conjugate_by(parse_word("3: 1"))
-
-
-def test_stabilize_destabilize():
-    w = parse_word("2: 1 1")
-    up = w.stabilize(-1)
-    assert up.strand_count == 3
-    assert up.signed_indices() == (1, 1, -2)
-    down = up.destabilize()
-    assert down.strand_count == 2
-    assert down.signed_indices() == (1, 1)
-    assert down.crossing_ids() == w.crossing_ids()
-
-
-def test_destabilize_preconditions():
-    with pytest.raises(MoveError):
-        parse_word("3: 2 1").destabilize()  # last letter not top generator
-    with pytest.raises(MoveError):
-        parse_word("3: 2 1 2").destabilize()  # top generator twice
-    with pytest.raises(MoveError):
-        parse_word("2:").destabilize()
-
-
-@given(words(), st.sampled_from([1, -1]))
-def test_destabilize_inverts_stabilize(w, sign):
-    assert w.stabilize(sign).destabilize() == w
+def test_signed_words_shortest_first():
+    assert list(signed_words(3, 1)) == [(), (1,), (-1,), (2,), (-2,)]
+    assert sum(1 for _ in signed_words(3, 4)) == 1 + 4 + 16 + 64 + 256
+    assert list(signed_words(1, 2)) == [()]
 
 
 def test_change_crossing():
@@ -289,10 +258,3 @@ def test_delete_crossing():
     assert out.crossing_ids() == (0, 2)
     with pytest.raises(MoveError):
         out.delete_crossing(1)
-
-
-def test_ids_never_recycled():
-    w = parse_word("2: 1 1 1")
-    shrunk = w.delete_crossing(2)
-    grown = shrunk.stabilize(1)
-    assert grown.crossing_ids() == (0, 1, 3)
