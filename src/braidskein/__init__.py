@@ -59,7 +59,6 @@ from .skein import (
 )
 from .templates import (
     DivergencePair,
-    ExchangeInstance,
     FlypeInstance,
     enumerate_exchange_instances,
     enumerate_flype_instances,
@@ -91,7 +90,6 @@ __all__ = [
     "CrossingChange",
     "DimensionError",
     "DivergencePair",
-    "ExchangeInstance",
     "FlypeInstance",
     "HomflyPoly",
     "JonesPoly",

@@ -3,8 +3,9 @@ The release gate: ten check batteries over the whole package.
 
 Each criterion function runs one battery at full scale by default and
 returns a result record instead of raising, so the battery keeps counting
-failures after the first one.  ``run_all(quick=True)`` runs the documented
-reduced scales (enumeration lengths shrink, sample counts drop) and
+failures after the first one.  A battery declares its number, name and
+quick-mode scales once, in its ``@_criterion`` line; ``run_all(quick=True)``
+runs those reduced scales (enumeration lengths shrink, sample counts drop) and
 finishes in under a second; the full run took 21.1 s on a 2-core machine
 and is what the test suite and any release should use.  All randomness is
 seeded, so repeated runs check the same cases.
@@ -12,23 +13,17 @@ seeded, so repeated runs check the same cases.
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from dataclasses import dataclass
 
 from . import homfly
-from .analysis import (
-    MalformedVectorError,
-    bad_counts,
-    bfree_exponent,
-    nugatory_scan,
-    odd_change_check,
-)
+from .analysis import MalformedVectorError, nugatory_scan, odd_change_check, parity_consistency
 from .homfly import BraidIndexCertificate, HomflyPoly, certify_braid_index_3, homfly_oracle
 from .resolution import Label, label_only, resolve
-from .skein import A, B, LaurentAB, SkeinVector
+from .skein import A, B, SkeinVector
 from .templates import (
-    ExchangeInstance,
     enumerate_exchange_instances,
     enumerate_flype_instances,
     exchange_pair,
@@ -58,15 +53,35 @@ class CriterionResult:
         return f"{verdict} criterion {self.number} ({self.name}): {self.detail} [{self.seconds:.2f}s]"
 
 
+# (criterion, quick-mode scales) in running order, filled by @_criterion
+_CRITERIA: list = []
+
+
+def _criterion(number: int, name: str, **quick_scales):
+    """Declare a battery returning ``(passed, detail)`` as criterion ``number``,
+    timed into a :class:`CriterionResult`.  ``quick_scales`` are its keyword
+    arguments in quick mode; without them quick mode runs it at full scale."""
+    def declare(battery):
+        @functools.wraps(battery)
+        def criterion(*args, **scales) -> CriterionResult:
+            started = time.perf_counter()
+            passed, detail = battery(*args, **scales)
+            return CriterionResult(number, name, passed, detail, time.perf_counter() - started)
+
+        _CRITERIA.append((criterion, quick_scales))
+        return criterion
+    return declare
+
+
 def _random_word(rng: random.Random, n: int, max_len: int, min_len: int = 0) -> BraidWord:
     length = rng.randint(min_len, max_len)
     signed = [rng.choice([1, -1]) * rng.randint(1, n - 1) for _ in range(length)]
     return BraidWord.from_signed(n, signed)
 
 
-def criterion_1() -> CriterionResult:
+@_criterion(1, "trefoil-exact")
+def criterion_1() -> tuple[bool, str]:
     """Exact trefoil resolution, under a millisecond."""
-    started = time.perf_counter()
     word = parse_word(TREFOIL_WORD)
     vector = resolve(word)  # warm interpreter paths out of the timed window
     best = float("inf")
@@ -77,11 +92,11 @@ def criterion_1() -> CriterionResult:
     exact = vector == TREFOIL_VECTOR
     fast = best < 1e-3
     detail = f"vector {'exact' if exact else 'WRONG: ' + vector.format()}, best of 5 in {best * 1e6:.0f} us"
-    return CriterionResult(1, "trefoil-exact", exact and fast, detail,
-                           time.perf_counter() - started)
+    return exact and fast, detail
 
 
-def criterion_2(max_n: int = 6) -> CriterionResult:
+@_criterion(2, "basis-fixed-points", max_n=5)
+def criterion_2(max_n: int = 6) -> tuple[bool, str]:
     """Every basis word resolves to itself; outputs per n are all distinct."""
     started = time.perf_counter()
     failures = 0
@@ -90,7 +105,7 @@ def criterion_2(max_n: int = 6) -> CriterionResult:
         outputs = set()
         parts_list = partitions_of(n)
         for parts in parts_list:
-            vector = resolve(basis_braid(parts, n))
+            vector = resolve(basis_braid(parts))
             checked += 1
             if vector != SkeinVector.singleton(n, parts):
                 failures += 1
@@ -100,12 +115,12 @@ def criterion_2(max_n: int = 6) -> CriterionResult:
     elapsed = time.perf_counter() - started
     ok = failures == 0 and elapsed < 1.0
     detail = f"{checked} basis words through n={max_n}, {failures} failures, {elapsed:.3f}s"
-    return CriterionResult(2, "basis-fixed-points", ok, detail, elapsed)
+    return ok, detail
 
 
-def criterion_3(max_len: int = 7) -> CriterionResult:
+@_criterion(3, "move-invariance", max_len=4)
+def criterion_3(max_len: int = 7) -> tuple[bool, str]:
     """Three-strand move invariance, exhaustive up to max_len letters."""
-    started = time.perf_counter()
     cache: dict[tuple[int, ...], SkeinVector] = {}
 
     def cached(word: BraidWord) -> SkeinVector:
@@ -133,14 +148,13 @@ def criterion_3(max_len: int = 7) -> CriterionResult:
                 continue
             if cached(rewritten) != base:
                 failures += 1
-    elapsed = time.perf_counter() - started
     detail = f"{words} words (len<={max_len}), {failures} move-invariance failures"
-    return CriterionResult(3, "move-invariance", failures == 0, detail, elapsed)
+    return failures == 0, detail
 
 
-def criterion_4(max_flype_power: int = 3, max_exchange_len: int = 4) -> CriterionResult:
+@_criterion(4, "template-invariance", max_flype_power=2, max_exchange_len=2)
+def criterion_4(max_flype_power: int = 3, max_exchange_len: int = 4) -> tuple[bool, str]:
     """Flype and 3-strand exchange pairs resolve identically."""
-    started = time.perf_counter()
     failures = 0
     flypes = exchanges = 0
     for instance in enumerate_flype_instances(max_flype_power):
@@ -148,34 +162,29 @@ def criterion_4(max_flype_power: int = 3, max_exchange_len: int = 4) -> Criterio
         flypes += 1
         if resolve(left) != resolve(right):
             failures += 1
-    for instance in enumerate_exchange_instances(3, max_exchange_len):
-        left, right = exchange_pair(instance, 3)
+    for u, v in enumerate_exchange_instances(3, max_exchange_len):
+        left, right = exchange_pair(u, v)
         exchanges += 1
         if resolve(left) != resolve(right):
             failures += 1
     detail = f"{flypes} flype + {exchanges} exchange pairs, {failures} unequal"
-    return CriterionResult(4, "template-invariance", failures == 0, detail,
-                           time.perf_counter() - started)
+    return failures == 0, detail
 
 
-def criterion_5(samples: int = 1000, max_len: int = 12) -> CriterionResult:
+@_criterion(5, "parity", samples=120, max_len=8)
+def criterion_5(samples: int = 1000, max_len: int = 12) -> tuple[bool, str]:
     """B-free exponent equals positive-bad minus negative-bad counts."""
-    started = time.perf_counter()
     rng = random.Random(SEED + 5)
     failures = 0
     for _ in range(samples):
         word = _random_word(rng, rng.choice([2, 3]), max_len)
-        counts = bad_counts(word)
         try:
-            k = bfree_exponent(resolve(word))
+            if not parity_consistency(word).ok:
+                failures += 1
         except MalformedVectorError:
             failures += 1
-            continue
-        if k != counts.positive_bad - counts.negative_bad:
-            failures += 1
     detail = f"{samples} random words (n in 2..3, len<={max_len}), {failures} failures"
-    return CriterionResult(5, "parity", failures == 0, detail,
-                           time.perf_counter() - started)
+    return failures == 0, detail
 
 
 def _certified_words(rng: random.Random, target: int, max_len: int,
@@ -194,17 +203,15 @@ def _certified_words(rng: random.Random, target: int, max_len: int,
     return found
 
 
+@_criterion(6, "no-removable-crossings", target_words=5, max_len=8, attempt_cap=800)
 def criterion_6(target_words: int = 20, max_len: int = 10,
-                attempt_cap: int = 4000) -> CriterionResult:
+                attempt_cap: int = 4000) -> tuple[bool, str]:
     """No output-preserving single change on certified 3-strand words."""
-    started = time.perf_counter()
     rng = random.Random(SEED + 6)
     certified = _certified_words(rng, target_words, max_len, attempt_cap)
     failures = 0
-    scans = 0
     for word in certified:
         report = nugatory_scan(word)
-        scans += 1
         if not report.all_differ:
             failures += 1
         base_labels = label_only(word)
@@ -215,35 +222,31 @@ def criterion_6(target_words: int = 20, max_len: int = 10,
             if flipped != expected:
                 failures += 1
     enough = len(certified) >= target_words
-    detail = (f"{scans} certified braid-index-3 words scanned "
+    detail = (f"{len(certified)} certified braid-index-3 words scanned "
               f"(target {target_words}), {failures} failures")
-    return CriterionResult(6, "no-removable-crossings", enough and failures == 0,
-                           detail, time.perf_counter() - started)
+    return enough and failures == 0, detail
 
 
-def criterion_7(samples: int = 200, max_len: int = 10) -> CriterionResult:
+@_criterion(7, "odd-changes-move-output", samples=40, max_len=8)
+def criterion_7(samples: int = 200, max_len: int = 10) -> tuple[bool, str]:
     """Changing any odd set of crossings always moves the output."""
-    started = time.perf_counter()
     rng = random.Random(SEED + 7)
     failures = 0
-    checked = 0
-    while checked < samples:
+    for _ in range(samples):
         word = _random_word(rng, rng.choice([2, 3]), max_len, min_len=1)
         ids = list(word.crossing_ids())
         size = rng.randrange(1, len(ids) + 1, 2)
         subset = rng.sample(ids, size)
-        checked += 1
         if not odd_change_check(word, subset).differs:
             failures += 1
-    detail = f"{checked} (word, odd subset) pairs, {failures} unchanged outputs"
-    return CriterionResult(7, "odd-changes-move-output", failures == 0, detail,
-                           time.perf_counter() - started)
+    detail = f"{samples} (word, odd subset) pairs, {failures} unchanged outputs"
+    return failures == 0, detail
 
 
+@_criterion(8, "bridge-equals-oracle", max_len=4, random_b4=20, b4_len=6)
 def criterion_8(max_len: int = 7, random_b4: int = 200,
-                b4_len: int = 8) -> CriterionResult:
+                b4_len: int = 8) -> tuple[bool, str]:
     """Bridge values equal the independent polynomial oracle everywhere."""
-    started = time.perf_counter()
     failures = 0
     checked = 0
     for n in (2, 3):
@@ -262,13 +265,12 @@ def criterion_8(max_len: int = 7, random_b4: int = 200,
     if not trefoil_ok:
         failures += 1
     detail = f"{checked} words bridged (exhaustive n<=3 len<={max_len} + {random_b4} n=4), {failures} mismatches"
-    return CriterionResult(8, "bridge-equals-oracle", failures == 0, detail,
-                           time.perf_counter() - started)
+    return failures == 0, detail
 
 
-def criterion_9() -> CriterionResult:
+@_criterion(9, "stabilization-witness")
+def criterion_9() -> tuple[bool, str]:
     """Stabilization changes the vector but not the bridge image."""
-    started = time.perf_counter()
     one_strand = resolve(parse_word("1:"))
     stabilized = resolve(parse_word("2: 1"))
     distinct = one_strand != stabilized
@@ -276,39 +278,20 @@ def criterion_9() -> CriterionResult:
                    and homfly.to_homfly(stabilized) == HomflyPoly.one())
     detail = (f"vectors {'distinct' if distinct else 'EQUAL'}, "
               f"bridge images {'both 1' if both_unknot else 'WRONG'}")
-    return CriterionResult(9, "stabilization-witness", distinct and both_unknot,
-                           detail, time.perf_counter() - started)
+    return distinct and both_unknot, detail
 
 
-def criterion_10(max_block_len: int = 3) -> CriterionResult:
+@_criterion(10, "four-strand-divergence", max_block_len=2)
+def criterion_10(max_block_len: int = 3) -> tuple[bool, str]:
     """Four-strand exchange divergence exists and stays link-type-safe."""
-    started = time.perf_counter()
     hits = search_exchange_divergence(4, max_block_len)
     oracle_ok = all(hit.oracle_equal for hit in hits)
     knots = sum(1 for hit in hits if hit.is_knot)
     detail = (f"{len(hits)} diverging pairs at block<={max_block_len}, "
               f"{knots} close to knots, oracle agreement {'yes' if oracle_ok else 'NO'}")
-    return CriterionResult(10, "four-strand-divergence", bool(hits) and oracle_ok,
-                           detail, time.perf_counter() - started)
-
-
-_CRITERIA = (criterion_1, criterion_2, criterion_3, criterion_4, criterion_5,
-              criterion_6, criterion_7, criterion_8, criterion_9, criterion_10)
-
-# reduced scales for quick mode; criteria not named run at full scale
-_QUICK_SCALES = {
-    criterion_2: {"max_n": 5},
-    criterion_3: {"max_len": 4},
-    criterion_4: {"max_flype_power": 2, "max_exchange_len": 2},
-    criterion_5: {"samples": 120, "max_len": 8},
-    criterion_6: {"target_words": 5, "max_len": 8, "attempt_cap": 800},
-    criterion_7: {"samples": 40, "max_len": 8},
-    criterion_8: {"max_len": 4, "random_b4": 20, "b4_len": 6},
-    criterion_10: {"max_block_len": 2},
-}
+    return bool(hits) and oracle_ok, detail
 
 
 def run_all(quick: bool = False) -> list[CriterionResult]:
     """Run the gate; quick mode shrinks scales to finish within seconds."""
-    return [criterion(**(_QUICK_SCALES.get(criterion, {}) if quick else {}))
-            for criterion in _CRITERIA]
+    return [criterion(**(scales if quick else {})) for criterion, scales in _CRITERIA]

@@ -30,23 +30,12 @@ class BadCount(NamedTuple):
     positive_bad: int
     negative_bad: int
 
-    @property
-    def total(self) -> int:
-        return self.positive_bad + self.negative_bad
-
 
 def bad_counts(word: BraidWord, basepoint: int = 1) -> BadCount:
     """Count bad crossings by sign, from a full labeling walk."""
     labels = label_only(word, basepoint)
-    by_id = {l.crossing_id: l.sign for l in word.letters}
-    positive = negative = 0
-    for cid, label in labels.items():
-        if label is Label.BAD:
-            if by_id[cid] > 0:
-                positive += 1
-            else:
-                negative += 1
-    return BadCount(positive, negative)
+    signs = [l.sign for l in word.letters if labels[l.crossing_id] is Label.BAD]
+    return BadCount(signs.count(1), signs.count(-1))
 
 
 def bfree_exponent(vector: SkeinVector) -> int:
@@ -109,7 +98,6 @@ class CrossingChange:
 
 @dataclass(frozen=True)
 class NugatoryScanReport:
-    word: BraidWord
     base_vector: SkeinVector
     entries: tuple[CrossingChange, ...]
 
@@ -139,12 +127,11 @@ def nugatory_scan(word: BraidWord, basepoint: int = 1) -> NugatoryScanReport:
             differs=changed != base,
             bfree_delta=bfree_exponent(changed) - k,
         ))
-    return NugatoryScanReport(word, base, tuple(entries))
+    return NugatoryScanReport(base, tuple(entries))
 
 
 @dataclass(frozen=True)
 class OddChangeReport:
-    word: BraidWord
     changed_word: BraidWord
     crossing_ids: tuple[int, ...]
     original_vector: SkeinVector
@@ -175,7 +162,6 @@ def odd_change_check(word: BraidWord, ids: Iterable[int]) -> OddChangeReport:
     for cid in id_list:
         changed = changed.change_crossing(cid)  # raises MoveError on unknown id
     return OddChangeReport(
-        word=word,
         changed_word=changed,
         crossing_ids=tuple(sorted(id_list)),
         original_vector=resolve(word),

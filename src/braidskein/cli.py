@@ -9,6 +9,8 @@ and, for verdict commands, the verdict held; 1 means a verdict failed
 output-preserving crossing change, a failing self test); 2 means the
 invocation itself was unusable; 3 means an internal error (for example an
 exhausted recursion limit), reported on stderr with nothing on stdout.
+A reader that closes stdout early (``| head``) ends the output quietly
+with the command's own exit status.
 
 Each command handler returns an :data:`Output` and prints nothing;
 :func:`main` writes whichever form was asked for.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .acceptance import run_all
@@ -25,7 +28,7 @@ from .analysis import nugatory_scan, odd_change_check, parity_consistency
 from .homfly import BraidIndexCertificate, certify_braid_index_3, jones, mfw_lower_bound, to_homfly
 from .resolution import ResolutionNode, label_only, resolution_tree, resolve
 from .skein import partition_str
-from .templates import ExchangeInstance, FlypeInstance, exchange_pair, flype_pair, search_exchange_divergence
+from .templates import FlypeInstance, exchange_pair, flype_pair, search_exchange_divergence
 from .words import BraidWord, MoveError, WordError, parse_word
 
 # (exit code, data for --json, lines of text)
@@ -156,11 +159,7 @@ def _cmd_flype_test(args) -> Output:
 
 
 def _cmd_exchange_test(args) -> Output:
-    u = parse_word(args.u)
-    v = parse_word(args.v)
-    if u.strand_count != v.strand_count:
-        raise WordError("blocks u and v must have the same strand count")
-    return _compare_sides(*exchange_pair(ExchangeInstance(u, v), u.strand_count + 1))
+    return _compare_sides(*exchange_pair(parse_word(args.u), parse_word(args.v)))
 
 
 def _cmd_exchange_search(args) -> Output:
@@ -264,6 +263,11 @@ def main(argv: list[str] | None = None) -> int:
         else:
             for line in lines:
                 print(line)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (`| head`); silence the interpreter's final flush.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
     except (WordError, MoveError, ValueError) as problem:
         print(f"error: {problem}", file=sys.stderr)

@@ -152,7 +152,7 @@ def homfly_oracle(word: BraidWord) -> HomflyPoly:
 
 def mfw_lower_bound(h: HomflyPoly) -> int:
     """Lower bound for the braid index: half the l-breadth plus one."""
-    if h.is_zero():
+    if not h:
         raise ValueError("zero polynomial has no breadth")
     exponents = [le for le, _ in h.terms()]
     breadth = max(exponents) - min(exponents)

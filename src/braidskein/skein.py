@@ -55,9 +55,6 @@ class Laurent:
         """Copy of the term map {exponents: coeff}, zero-free."""
         return dict(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self) -> bool:
         return bool(self._terms)
 
@@ -197,11 +194,9 @@ class SkeinVector:
         self._entries = clean
 
     @staticmethod
-    def singleton(strand_count: int, parts: tuple[int, ...],
-                  coeff: LaurentAB | None = None) -> SkeinVector:
-        if coeff is None:
-            coeff = LaurentAB.one()
-        return SkeinVector(strand_count, {tuple(parts): coeff})
+    def singleton(strand_count: int, parts: tuple[int, ...]) -> SkeinVector:
+        """The basis vector of one partition: coefficient 1 on ``parts``."""
+        return SkeinVector(strand_count, {tuple(parts): LaurentAB.one()})
 
     def entries(self) -> dict[tuple[int, ...], LaurentAB]:
         return dict(self._entries)

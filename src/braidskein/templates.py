@@ -22,7 +22,7 @@ from typing import Iterator
 from .homfly import homfly_oracle
 from .resolution import resolve
 from .skein import SkeinVector
-from .words import BraidWord, MoveError, cycle_type, permutation, signed_words
+from .words import BraidWord, WordError, cycle_type, permutation, signed_words
 
 
 @dataclass(frozen=True)
@@ -56,32 +56,20 @@ def flype_pair(f: FlypeInstance) -> tuple[BraidWord, BraidWord]:
     return BraidWord.from_signed(3, left), BraidWord.from_signed(3, right)
 
 
-@dataclass(frozen=True)
-class ExchangeInstance:
-    """Blocks u and v braided on the lower n-1 strands of an n-strand word."""
-
-    u: BraidWord
-    v: BraidWord
-
-
-def exchange_pair(e: ExchangeInstance, n: int) -> tuple[BraidWord, BraidWord]:
-    """The two sides of the exchange move on n strands.
+def exchange_pair(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
+    """The two sides of the exchange move on n = u.strand_count + 1 strands.
 
     Left: u s_{n-1} v s_{n-1}^{-1}.  Right: u s_{n-1}^{-1} v s_{n-1}.  The
-    blocks must avoid the top two strands' generator n-1.
+    blocks u and v lie on the same lower n-1 strands, so neither can use
+    the exchanged generator n-1; a WordError reports blocks on different
+    strand counts.
     """
-    top = n - 1
-    for block in (e.u, e.v):
-        for letter in block.letters:
-            if letter.index > n - 2:
-                raise MoveError(
-                    f"block generator {letter.index} collides with the "
-                    f"exchanged strand on {n} strands"
-                )
-    u, v = e.u.signed_indices(), e.v.signed_indices()
-    left = list(u) + [top] + list(v) + [-top]
-    right = list(u) + [-top] + list(v) + [top]
-    return BraidWord.from_signed(n, left), BraidWord.from_signed(n, right)
+    if u.strand_count != v.strand_count:
+        raise WordError("blocks u and v must have the same strand count")
+    top = u.strand_count
+    left = [*u.signed_indices(), top, *v.signed_indices(), -top]
+    right = [*u.signed_indices(), -top, *v.signed_indices(), top]
+    return BraidWord.from_signed(top + 1, left), BraidWord.from_signed(top + 1, right)
 
 
 def enumerate_flype_instances(max_power: int) -> Iterator[FlypeInstance]:
@@ -91,11 +79,11 @@ def enumerate_flype_instances(max_power: int) -> Iterator[FlypeInstance]:
         yield FlypeInstance(a, b, c, eps)
 
 
-def enumerate_exchange_instances(n: int, max_block_len: int) -> Iterator[ExchangeInstance]:
-    """All block pairs for n-strand exchange with |u|, |v| <= max_block_len."""
+def enumerate_exchange_instances(n: int, max_block_len: int) -> Iterator[tuple[BraidWord, BraidWord]]:
+    """All block pairs (u, v) for n-strand exchange, the arguments of
+    :func:`exchange_pair`, with |u|, |v| <= max_block_len."""
     blocks = [BraidWord.from_signed(n - 1, signed) for signed in signed_words(n - 1, max_block_len)]
-    for u, v in itertools.product(blocks, repeat=2):
-        yield ExchangeInstance(u, v)
+    yield from itertools.product(blocks, repeat=2)
 
 
 @dataclass(frozen=True)
@@ -124,8 +112,8 @@ def search_exchange_divergence(n: int = 4, max_block_len: int = 3) -> list[Diver
     if max_block_len < 0:
         raise ValueError(f"block length bound must be >= 0, got {max_block_len}")
     hits = []
-    for instance in enumerate_exchange_instances(n, max_block_len):
-        left, right = exchange_pair(instance, n)
+    for u, v in enumerate_exchange_instances(n, max_block_len):
+        left, right = exchange_pair(u, v)
         left_vector = resolve(left)
         right_vector = resolve(right)
         if left_vector == right_vector:

@@ -270,19 +270,21 @@ def is_partition_of(parts: Sequence[int], n: int) -> bool:
     )
 
 
-def basis_braid(parts: Sequence[int], n: int) -> BraidWord:
-    """The basis braid of a partition: descending blocks side by side.
+def basis_braid(parts: Sequence[int]) -> BraidWord:
+    """The basis braid of a partition: descending blocks side by side, on
+    sum(parts) strands.
 
     A block of size k on strands o+1..o+k is the word
     sigma_{o+k-1} ... sigma_{o+1} (top to bottom), so the block closes to a
     single unknotted component.  Blocks are laid out left to right in the
     order the parts are given; the closure's cycle type is the sorted parts.
+    Empty or non-positive parts raise ValueError.
     """
-    if sum(parts) != n or any(p < 1 for p in parts):
-        raise ValueError(f"{tuple(parts)} is not a partition of {n}")
+    if not parts or any(p < 1 for p in parts):
+        raise ValueError(f"{tuple(parts)} is not a partition")
     signed = []
     offset = 0
     for part in parts:
         signed.extend(range(offset + part - 1, offset, -1))
         offset += part
-    return BraidWord.from_signed(n, signed)
+    return BraidWord.from_signed(offset, signed)

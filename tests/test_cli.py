@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import braidskein
 from braidskein.cli import main
 
 TREFOIL = "2: 1 1 1"
@@ -238,3 +243,18 @@ def test_internal_error_exits_three(capsys):
     assert out == ""
     assert err.startswith("internal error: RecursionError")
     assert err.count("\n") == 1
+
+
+def test_closed_stdout_exits_quietly():
+    # 320 KB of tree output cannot fit in the pipe once the reader is gone.
+    package_root = str(Path(braidskein.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=package_root)
+    word = "2:" + " -1" * 16
+    child = subprocess.Popen([sys.executable, "-m", "braidskein.cli", "tree", word],
+                             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert child.stdout.readline() == f"{word}\n".encode()
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait(timeout=60) == 0
+    assert err == b""

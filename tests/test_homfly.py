@@ -92,7 +92,7 @@ def test_basis_words_map_to_delta_powers():
             expected = HomflyPoly.one()
             for _ in range(len(parts) - 1):
                 expected = expected * DELTA
-            assert to_homfly(resolve(basis_braid(parts, n))) == expected
+            assert to_homfly(resolve(basis_braid(parts))) == expected
 
 
 # -- oracle -------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_resolve_descending_words():
 def test_resolve_is_identity_on_basis_words():
     for n in range(1, 7):
         for parts in partitions_of(n):
-            v = resolve(basis_braid(parts, n))
+            v = resolve(basis_braid(parts))
             assert v == SkeinVector(n, {parts: LaurentAB.one()}), parts
 
 

@@ -145,25 +145,26 @@ def test_partitions_sorted_descending(n):
 
 
 def test_basis_braid_examples():
-    assert basis_braid((3,), 3).format() == "3: 2 1"
-    assert basis_braid((1, 1, 1), 3).format() == "3:"
-    assert basis_braid((2, 1), 3).format() == "3: 1"
-    assert basis_braid((1, 2, 3), 6).format() == "6: 2 5 4"
+    assert basis_braid((3,)).format() == "3: 2 1"
+    assert basis_braid((1, 1, 1)).format() == "3:"
+    assert basis_braid((2, 1)).format() == "3: 1"
+    assert basis_braid((1, 2, 3)).format() == "6: 2 5 4"
 
 
 @given(st.integers(1, 7).flatmap(lambda n: st.sampled_from(partitions_of(n)).map(lambda p: (p, n))))
 def test_basis_braid_closes_to_its_partition(pn):
     parts, n = pn
-    w = basis_braid(parts, n)
+    w = basis_braid(parts)
+    assert w.strand_count == n
     assert cycle_type(permutation(w)) == tuple(sorted(parts, reverse=True))
     assert all(l.sign == 1 for l in w.letters)
 
 
 def test_basis_braid_rejects_non_partition():
     with pytest.raises(ValueError):
-        basis_braid((2, 2), 3)
+        basis_braid((3, 0))
     with pytest.raises(ValueError):
-        basis_braid((3, 0), 3)
+        basis_braid(())
 
 
 # -- moves ----------------------------------------------------------------------
