@@ -6,9 +6,9 @@ returns a result record instead of raising, so the battery keeps counting
 failures after the first one.  A battery declares its number, name and
 quick-mode scales once, in its ``@_criterion`` line; ``run_all(quick=True)``
 runs those reduced scales (enumeration lengths shrink, sample counts drop) and
-finishes in under a second; the full run took 21.1 s on a 2-core machine
-and is what the test suite and any release should use.  All randomness is
-seeded, so repeated runs check the same cases.
+finishes in under a second; the full run is what the test suite and any
+release should use.  All randomness is seeded, so repeated runs check the
+same cases.
 """
 
 from __future__ import annotations

@@ -42,11 +42,9 @@ def _cmd_resolve(args) -> Output:
 
 
 def _cmd_labels(args) -> Output:
-    word = parse_word(args.word)
-    labels = label_only(word, args.basepoint)
-    values = [(l.crossing_id, labels[l.crossing_id].value) for l in word.letters]
-    lines = [f"{cid}: {value}" for cid, value in values]
-    return 0, {str(cid): value for cid, value in values}, lines
+    labels = label_only(parse_word(args.word), args.basepoint)
+    lines = [f"{cid}: {label.value}" for cid, label in labels.items()]
+    return 0, {str(cid): label.value for cid, label in labels.items()}, lines
 
 
 def _tree_lines(node: ResolutionNode, depth: int, lines: list[str]) -> None:
@@ -61,7 +59,7 @@ def _tree_json(node: ResolutionNode) -> dict:
     data = {
         "word": node.word.format(),
         "edge": None if node.edge is None else node.edge.to_json_dict(),
-        "labels": {str(cid): label.value for cid, label in sorted(node.labels.items())},
+        "labels": {str(cid): "good" for cid in sorted(node.good)},
     }
     if node.is_leaf():
         data["partition"] = ",".join(str(p) for p in node.leaf_partition())
@@ -256,6 +254,11 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as stop:
         return 0 if stop.code in (0, None) else 2
+    # Exact coefficients may run past the interpreter's digit limit for int
+    # to text (3.10.7 and later); lift it for this call only.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
         code, data, lines = args.handler(args)
         if args.json:
@@ -275,6 +278,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as problem:
         print(f"internal error: {type(problem).__name__}: {problem}", file=sys.stderr)
         return 3
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

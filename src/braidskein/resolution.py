@@ -11,17 +11,21 @@ or A^-1 (negative), deleting it contributes B or -A^-1*B, and the two child
 diagrams are resolved further.  Leaves are fully labeled and therefore
 descending; each leaf closes to the unlink pattern named by its cycle type.
 
-Labels persist into child diagrams.  Re-walking a child from the original
-basepoint retraces the parent's path across already-labeled crossings and
-makes no new decision before the branch point, so continuing the walk in
-place (the fast engine below) and restarting from scratch (the explicit
-tree builder) produce the same result.
+The walk is stated twice.  :func:`resolve` runs it as a depth-first search
+that continues in place past each branch point.  The generator
+:func:`_first_unders` runs it plainly, yielding each bad crossing as the walk
+reaches it; :func:`label_only` reads all of it, and :func:`resolution_tree`
+re-walks each node from the basepoint up to the first bad crossing.  Labels
+persist into child diagrams, so the re-walk retraces the parent's path and
+makes no new decision before the branch point: the tree is the
+from-scratch reference that :func:`resolve` is tested against.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Iterator
 
 from .skein import A, A_INV, B, NEG_A_INV_B, LaurentAB, SkeinVector
 from .words import BraidWord, Letter, WordError, cycle_type, permutation
@@ -39,52 +43,38 @@ def _check_basepoint(word: BraidWord, basepoint: int):
         )
 
 
-def _walk(word: BraidWord, basepoint: int, labels: dict[int, Label],
-          stop_on_bad: bool) -> Letter | None:
-    """Walk the whole closure, updating ``labels`` in place.
+def _first_unders(word: BraidWord, basepoint: int, seen: set[int]) -> Iterator[Letter]:
+    """Walk the whole closure and yield each crossing first met on its
+    under-strand, before crossing it.
 
-    Each time a component closes, the walk restarts at the smallest strand
-    position not yet walked.  With ``stop_on_bad`` the walk returns the
-    letter of the first unlabeled under-strand encounter without labeling
-    it; otherwise bad crossings are labeled and the walk continues through
-    them.  Returns None when every component was completed.
+    Crossings in ``seen`` are crossed without a decision.  A crossing met
+    on its over-strand joins ``seen`` at once, a yielded one when the walk
+    resumes.  Each time a component closes, the walk restarts at the
+    smallest strand position not yet walked.
     """
-    completed: set[int] = set()
-    start = basepoint
-    while True:
+    walked: set[int] = set()
+    for start in (basepoint, *range(1, word.strand_count + 1)):
         position = start
-        seen = {start}
-        while True:
+        while position not in walked:
+            walked.add(position)
             for letter in word.letters:
                 i = letter.index
                 if position != i and position != i + 1:
                     continue
-                if letter.crossing_id not in labels:
-                    over_entry = i if letter.sign > 0 else i + 1
-                    if position == over_entry:
-                        labels[letter.crossing_id] = Label.GOOD
-                    elif stop_on_bad:
-                        return letter
-                    else:
-                        labels[letter.crossing_id] = Label.BAD
+                if letter.crossing_id not in seen:
+                    if position != (i if letter.sign > 0 else i + 1):
+                        yield letter
+                    seen.add(letter.crossing_id)
                 position = i + 1 if position == i else i
-            if position == start:
-                break
-            seen.add(position)
-        completed |= seen
-        for start in range(1, word.strand_count + 1):
-            if start not in completed:
-                break
-        else:
-            return None
 
 
 def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
-    """Label every crossing good or bad without resolving anything."""
+    """Label every crossing good or bad without resolving anything, in
+    word order."""
     _check_basepoint(word, basepoint)
-    state: dict[int, Label] = {}
-    _walk(word, basepoint, state, stop_on_bad=False)
-    return state
+    bad = {letter.crossing_id for letter in _first_unders(word, basepoint, set())}
+    return {l.crossing_id: Label.BAD if l.crossing_id in bad else Label.GOOD
+            for l in word.letters}
 
 
 # -- fast engine ----------------------------------------------------------------
@@ -108,6 +98,7 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
     indices = tuple(l.index for l in word.letters)
     signs = tuple(l.sign for l in word.letters)
     length = len(indices)
+    all_rows = range(length)
     full_mask = (1 << (n + 1)) - 2  # bits 1..n
 
     totals: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
@@ -118,47 +109,45 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
               bytearray(length))]
     while stack:
         row, pos, start, tops, done, sizes, csign, aexp, bexp, state = stack.pop()
+        rows = range(row, length)
         while True:
-            if row == length:
-                if pos == start:
-                    done |= tops
-                    sizes = sizes + (bin(tops).count("1"),)
-                    if done == full_mask:
-                        key = tuple(sorted(sizes, reverse=True))
-                        exps = (aexp, bexp)
-                        bucket = totals.setdefault(key, {})
-                        bucket[exps] = bucket.get(exps, 0) + csign
-                        break
-                    nxt = 1
-                    while done >> nxt & 1:
-                        nxt += 1
-                    pos = start = nxt
-                    tops = 1 << nxt
-                else:
-                    tops |= 1 << pos
-                row = 0
+            for row in rows:
+                i = indices[row]
+                if pos != i and pos != i + 1 or state[row] == _GONE:
+                    continue
+                if state[row] == _UNSEEN:
+                    over_entry = i if signs[row] > 0 else i + 1
+                    if pos != over_entry:
+                        # bad crossing: branch into delete (queued) and flip
+                        child = bytearray(state)
+                        child[row] = _GONE
+                        if signs[row] > 0:
+                            stack.append((row + 1, pos, start, tops, done, sizes,
+                                          csign, aexp, bexp + 1, child))
+                            aexp += 1
+                        else:
+                            stack.append((row + 1, pos, start, tops, done, sizes,
+                                          -csign, aexp - 1, bexp + 1, child))
+                            aexp -= 1
+                    state[row] = _GOOD
+                pos = i + 1 if pos == i else i
+            rows = all_rows
+            if pos != start:
+                tops |= 1 << pos
                 continue
-            i = indices[row]
-            if state[row] == _GONE or (pos != i and pos != i + 1):
-                row += 1
-                continue
-            if state[row] == _UNSEEN:
-                over_entry = i if signs[row] > 0 else i + 1
-                if pos != over_entry:
-                    # bad crossing: branch into delete (queued) and flip
-                    child = bytearray(state)
-                    child[row] = _GONE
-                    if signs[row] > 0:
-                        stack.append((row + 1, pos, start, tops, done, sizes,
-                                      csign, aexp, bexp + 1, child))
-                        aexp += 1
-                    else:
-                        stack.append((row + 1, pos, start, tops, done, sizes,
-                                      -csign, aexp - 1, bexp + 1, child))
-                        aexp -= 1
-                state[row] = _GOOD
-            pos = i + 1 if pos == i else i
-            row += 1
+            done |= tops
+            sizes = sizes + (bin(tops).count("1"),)
+            if done == full_mask:
+                break
+            nxt = 1
+            while done >> nxt & 1:
+                nxt += 1
+            pos = start = nxt
+            tops = 1 << nxt
+        key = tuple(sorted(sizes, reverse=True))
+        exps = (aexp, bexp)
+        bucket = totals.setdefault(key, {})
+        bucket[exps] = bucket.get(exps, 0) + csign
 
     return SkeinVector(n, {key: LaurentAB(terms) for key, terms in totals.items()})
 
@@ -176,13 +165,14 @@ class ResolutionNode:
     """One diagram in the branching resolution.
 
     ``edge`` is the skein factor on the edge from the parent (None at the
-    root).  ``labels`` are the labels known once this node's walk stopped.
-    Leaves have no children and are fully labeled descending diagrams.
+    root).  ``good`` holds the crossings known to be good once this node's
+    walk stopped at its first bad crossing.  Leaves have no children; every
+    crossing of a leaf is good, so it is a descending diagram.
     """
 
     word: BraidWord
     edge: LaurentAB | None
-    labels: dict[int, Label]
+    good: frozenset[int]
     children: tuple[ResolutionNode, ...]
 
     def is_leaf(self) -> bool:
@@ -198,32 +188,29 @@ def resolution_tree(word: BraidWord, basepoint: int = 1) -> ResolutionNode:
     """Materialize the full branching as a tree of diagrams.
 
     Unlike :func:`resolve`, every node re-runs the walk from the original
-    basepoint on its own word; inherited labels make the replay
-    deterministic.  The tree always sums to the resolve() vector.
+    basepoint on its own word; the good crossings it inherits make the
+    replay deterministic.  The tree always sums to the resolve() vector.
     """
     _check_basepoint(word, basepoint)
 
-    def build(current: BraidWord, inherited: dict[int, Label],
+    def build(current: BraidWord, seen: set[int],
               edge: LaurentAB | None) -> ResolutionNode:
-        labels = dict(inherited)
-        hit = _walk(current, basepoint, labels, stop_on_bad=True)
+        hit = next(_first_unders(current, basepoint, seen), None)
+        good = frozenset(seen)
         if hit is None:
-            return ResolutionNode(current, edge, labels, ())
-        flipped = current.change_crossing(hit.crossing_id)
-        deleted = current.delete_crossing(hit.crossing_id)
-        flip_labels = dict(labels)
-        flip_labels[hit.crossing_id] = Label.GOOD
+            return ResolutionNode(current, edge, good, ())
         if hit.sign > 0:
             flip_edge, delete_edge = A, B
         else:
             flip_edge, delete_edge = A_INV, NEG_A_INV_B
         children = (
-            build(flipped, flip_labels, flip_edge),
-            build(deleted, labels, delete_edge),
+            build(current.change_crossing(hit.crossing_id), {*good, hit.crossing_id}, flip_edge),
+            # the walk stopped, so ``seen`` is free to seed the last child
+            build(current.delete_crossing(hit.crossing_id), seen, delete_edge),
         )
-        return ResolutionNode(current, edge, labels, children)
+        return ResolutionNode(current, edge, good, children)
 
-    return build(word, {}, None)
+    return build(word, set(), None)
 
 
 def tree_vector(node: ResolutionNode) -> SkeinVector:

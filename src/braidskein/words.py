@@ -164,10 +164,13 @@ class BraidWord:
         return BraidWord(self.strand_count, out)
 
 
+_MAX_DIGITS = 4300  # the interpreter's default limit for text to int
+
+
 def _parse_int(token: str, what: str) -> int:
-    """ASCII decimal integer; int() alone would also take other scripts'
-    digits and underscores."""
-    if token.isascii() and "_" not in token:
+    """ASCII decimal integer of at most _MAX_DIGITS digits; int() alone
+    would also take other scripts' digits and underscores."""
+    if token.isascii() and "_" not in token and len(token.lstrip("+-")) <= _MAX_DIGITS:
         try:
             return int(token)
         except ValueError:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 
 import braidskein
+from braidskein import cli
 from braidskein.cli import main
+from braidskein.homfly import HomflyPoly
 
 TREFOIL = "2: 1 1 1"
 
@@ -235,6 +237,25 @@ def test_selftest_quick_json(capsys):
 ])
 def test_bad_inputs_exit_two(capsys, argv):
     assert run(capsys, *argv)[0] == 2
+
+
+def test_long_coefficient_prints(capsys, monkeypatch):
+    digits = "1" + "0" * 4999
+    monkeypatch.setattr(cli, "to_homfly", lambda vector: HomflyPoly({(0, 0): 10 ** 4999}))
+    digit_limit = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    limit = digit_limit()
+    for argv in (["homfly", "2: 1"], ["homfly", "--json", "2: 1"]):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert digits in out
+    assert digit_limit() == limit
+
+
+def test_overlong_letter_token_is_usage_error(capsys):
+    # 5000 digits of value 1: rejected for its length, whatever the interpreter's limit.
+    code, out, err = run(capsys, "resolve", "2: " + "0" * 4999 + "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: bad letter token")
 
 
 def test_internal_error_exits_three(capsys):

@@ -155,7 +155,7 @@ def test_trefoil_tree_shape():
 def test_leaves_are_fully_labeled():
     def check(node):
         if node.is_leaf():
-            assert set(node.labels) == set(node.word.crossing_ids())
+            assert node.good == set(node.word.crossing_ids())
         for child in node.children:
             check(child)
 
@@ -173,3 +173,19 @@ def test_tree_sums_to_resolution(w):
 def test_tree_matches_resolve_at_every_basepoint(w, bp):
     bp = 1 + (bp - 1) % w.strand_count
     assert tree_vector(resolution_tree(w, bp)) == resolve(w, bp)
+
+
+@given(words(max_strands=4, max_len=7))
+@settings(deadline=None)
+def test_tree_branches_at_the_bad_labels(w):
+    # Following the flip child from the root meets exactly the bad crossings.
+    for bp in range(1, w.strand_count + 1):
+        bad = {cid for cid, label in label_only(w, bp).items() if label is Label.BAD}
+        node, branched = resolution_tree(w, bp), set()
+        while not node.is_leaf():
+            flip, delete = node.children
+            (hit,) = set(node.word.crossing_ids()) - set(delete.word.crossing_ids())
+            assert hit not in node.good
+            branched.add(hit)
+            node = flip
+        assert branched == bad
