@@ -46,8 +46,9 @@ DELTA = HomflyPoly({(1, -1): -1, (-1, -1): -1})  # value of a split unknot
 def to_homfly(vector: SkeinVector) -> HomflyPoly:
     """Evaluate a resolution vector as a polynomial in l and m.
 
-    Substituted entries are summed per component count k first, so
-    sum_k P_k * DELTA^(k-1) takes one product by DELTA per count (Horner).
+    Substituted entries are summed per component count k first, and each
+    sum P_k is multiplied by DELTA^(k-1), built term by term from the
+    binomial theorem, so the bridge costs sum_k |P_k| * k term products.
     """
     by_count: dict[int, dict[tuple[int, int], int]] = {}
     for parts, poly in vector.entries().items():
@@ -58,11 +59,21 @@ def to_homfly(vector: SkeinVector) -> HomflyPoly:
             key = (-2 * a - b, b)
             subbed[key] = subbed.get(key, 0) + sign * c
     total = HomflyPoly.zero()
-    for k in range(max(by_count, default=0), 0, -1):
-        total = total * DELTA
-        if k in by_count:
-            total = total + HomflyPoly(by_count[k])
+    for k, subbed in by_count.items():
+        total = total + HomflyPoly(subbed) * _delta_power(k - 1)
     return total
+
+
+def _delta_power(k: int) -> HomflyPoly:
+    """DELTA^k = sum_j C(k, j) * x^j * y^(k-j) over DELTA's terms x and y."""
+    ((xl, xm), cx), *rest = DELTA.terms().items()
+    (((yl, ym), cy),) = rest or [((0, 0), 0)]  # a monomial DELTA has y = 0
+    terms = {}
+    binom = 1
+    for j in range(k + 1):
+        terms[(j * xl + (k - j) * yl, j * xm + (k - j) * ym)] = binom * cx**j * cy**(k - j)
+        binom = binom * (k - j) // (j + 1)
+    return HomflyPoly(terms)
 
 
 # -- independent oracle -------------------------------------------------------------

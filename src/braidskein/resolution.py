@@ -11,10 +11,13 @@ or A^-1 (negative), deleting it contributes B or -A^-1*B, and the two child
 diagrams are resolved further.  Leaves are fully labeled and therefore
 descending; each leaf closes to the unlink pattern named by its cycle type.
 
-The walk is stated twice.  :func:`resolve` runs it as a depth-first search
-that continues in place past each branch point.  The generator
-:func:`_first_unders` runs it plainly, yielding each bad crossing as the walk
-reaches it; :func:`label_only` reads all of it, and :func:`resolution_tree`
+The walk is stated twice, and both statements follow successor links
+(:func:`_links`), so a pass costs the rows it crosses, not the whole word.
+:func:`resolve` runs the walk as a depth-first search that continues in
+place past each branch point; strands that no crossing touches close at
+once as parts of size 1.  The generator :func:`_first_unders` runs it
+plainly, yielding each bad crossing as the walk reaches it;
+:func:`label_only` reads all of it, and :func:`resolution_tree` still
 re-walks each node from the basepoint up to the first bad crossing.  Labels
 persist into child diagrams, so the re-walk retraces the parent's path and
 makes no new decision before the branch point: the tree is the
@@ -43,6 +46,25 @@ def _check_basepoint(word: BraidWord, basepoint: int):
         )
 
 
+def _links(indices: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
+    """Successor links of a word, built in one bottom-up pass.
+
+    Link ``2*r + s`` is a strand about to meet row r on position
+    ``indices[r] + s``, and link ``2*len(indices) + p`` one that left the
+    bottom on position p.  A strand entering the top on position p is at
+    ``first[p]``; past row r, one on position ``indices[r] + s`` is at
+    ``after[2*r + s]``, so crossing row r at link l leads to ``after[l ^ 1]``.
+    """
+    end = 2 * len(indices)
+    first = [end + p for p in range(n + 2)]
+    after = [0] * end
+    for row in range(len(indices) - 1, -1, -1):
+        i = indices[row]
+        after[2 * row], after[2 * row + 1] = first[i], first[i + 1]
+        first[i], first[i + 1] = 2 * row, 2 * row + 1
+    return first, after
+
+
 def _first_unders(word: BraidWord, basepoint: int, seen: set[int]) -> Iterator[Letter]:
     """Walk the whole closure and yield each crossing first met on its
     under-strand, before crossing it.
@@ -52,20 +74,24 @@ def _first_unders(word: BraidWord, basepoint: int, seen: set[int]) -> Iterator[L
     resumes.  Each time a component closes, the walk restarts at the
     smallest strand position not yet walked.
     """
+    letters = word.letters
+    end = 2 * len(letters)
+    first, after = _links(tuple(l.index for l in letters), word.strand_count)
     walked: set[int] = set()
     for start in (basepoint, *range(1, word.strand_count + 1)):
         position = start
         while position not in walked:
             walked.add(position)
-            for letter in word.letters:
-                i = letter.index
-                if position != i and position != i + 1:
-                    continue
+            link = first[position]
+            while link < end:
+                letter = letters[link >> 1]
                 if letter.crossing_id not in seen:
-                    if position != (i if letter.sign > 0 else i + 1):
+                    # the over-strand enters a positive crossing on side 0
+                    if link & 1 == (letter.sign > 0):
                         yield letter
                     seen.add(letter.crossing_id)
-                position = i + 1 if position == i else i
+                link = after[link ^ 1]
+            position = link - end
 
 
 def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
@@ -96,55 +122,68 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
     _check_basepoint(word, basepoint)
 
     indices = tuple(l.index for l in word.letters)
-    signs = tuple(l.sign for l in word.letters)
+    positive = tuple(l.sign > 0 for l in word.letters)
     length = len(indices)
-    all_rows = range(length)
-    full_mask = (1 << (n + 1)) - 2  # bits 1..n
+    end = 2 * length
+    first, after = _links(indices, n)
+    # idle strands close at once; the walk visits the touched ones, by rank
+    touched = [p for p in range(1, n + 1) if first[p] < end]
+    idle = (1,) * (n - len(touched))
+    if not touched:
+        return SkeinVector(n, {idle: LaurentAB.one()})
+    rank = {p: r for r, p in enumerate(touched)}
+    full_mask = (1 << len(touched)) - 1
+    if basepoint not in rank:
+        basepoint = touched[0]
 
     totals: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
 
-    # node: row, position, component start, seen-top bitmask, completed
-    # bitmask, finished component sizes, path sign, A exponent, B exponent
-    stack = [(0, basepoint, basepoint, 1 << basepoint, 0, (), 1, 0, 0,
+    # node: link, component start, walked-top rank bitmask, size of the open
+    # component, closed sizes as a linked list, path sign, A exponent,
+    # B exponent, crossing states
+    stack = [(first[basepoint], basepoint, 1 << rank[basepoint], 1, (), 1, 0, 0,
               bytearray(length))]
     while stack:
-        row, pos, start, tops, done, sizes, csign, aexp, bexp, state = stack.pop()
-        rows = range(row, length)
+        link, start, done, size, sizes, csign, aexp, bexp, state = stack.pop()
         while True:
-            for row in rows:
-                i = indices[row]
-                if pos != i and pos != i + 1 or state[row] == _GONE:
-                    continue
-                if state[row] == _UNSEEN:
-                    over_entry = i if signs[row] > 0 else i + 1
-                    if pos != over_entry:
+            while link < end:
+                row = link >> 1
+                if state[row] == _GOOD:
+                    link = after[link ^ 1]
+                elif state[row] == _GONE:
+                    link = after[link]
+                else:
+                    if link & 1 == positive[row]:
                         # bad crossing: branch into delete (queued) and flip
                         child = bytearray(state)
                         child[row] = _GONE
-                        if signs[row] > 0:
-                            stack.append((row + 1, pos, start, tops, done, sizes,
-                                          csign, aexp, bexp + 1, child))
+                        if positive[row]:
+                            delete = (csign, aexp, bexp + 1)
                             aexp += 1
                         else:
-                            stack.append((row + 1, pos, start, tops, done, sizes,
-                                          -csign, aexp - 1, bexp + 1, child))
+                            delete = (-csign, aexp - 1, bexp + 1)
                             aexp -= 1
+                        stack.append((after[link], start, done, size, sizes, *delete, child))
                     state[row] = _GOOD
-                pos = i + 1 if pos == i else i
-            rows = all_rows
+                    link = after[link ^ 1]
+            pos = link - end
             if pos != start:
-                tops |= 1 << pos
+                done |= 1 << rank[pos]
+                size += 1
+                link = first[pos]
                 continue
-            done |= tops
-            sizes = sizes + (bin(tops).count("1"),)
+            sizes = (size, sizes)
             if done == full_mask:
                 break
-            nxt = 1
-            while done >> nxt & 1:
-                nxt += 1
-            pos = start = nxt
-            tops = 1 << nxt
-        key = tuple(sorted(sizes, reverse=True))
+            start = touched[(~done & (done + 1)).bit_length() - 1]
+            done |= 1 << rank[start]
+            size = 1
+            link = first[start]
+        flat = []
+        while sizes:
+            size, sizes = sizes
+            flat.append(size)
+        key = tuple(sorted(flat, reverse=True)) + idle
         exps = (aexp, bexp)
         bucket = totals.setdefault(key, {})
         bucket[exps] = bucket.get(exps, 0) + csign

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from braidskein.resolution import resolve
 from braidskein.skein import A, A_INV, B, LaurentAB, SkeinVector
 from braidskein.words import BraidWord, basis_braid, parse_word, partitions_of
 
+from test_skein import polys
 from test_words import words
 
 homfly_polys = st.dictionaries(
@@ -80,7 +83,7 @@ def test_bridge_unknots():
 def test_bridge_split_unlinks():
     assert to_homfly(resolve(parse_word("2:"))) == DELTA
     assert to_homfly(resolve(parse_word("3:"))) == DELTA * DELTA
-    # no two-component entry: Horner still multiplies by DELTA at that count
+    # no two-component entry: the three-component one still takes DELTA^2
     gap = SkeinVector(3, {(3,): A, (1, 1, 1): B})
     assert to_homfly(gap) == (HomflyPoly({(-2, 0): -1})
                               + HomflyPoly({(-1, 1): -1}) * DELTA * DELTA)
@@ -93,6 +96,41 @@ def test_basis_words_map_to_delta_powers():
             for _ in range(len(parts) - 1):
                 expected = expected * DELTA
             assert to_homfly(resolve(basis_braid(parts))) == expected
+
+
+def test_bridge_on_wide_unlink_patterns():
+    # N: 1 closes to N-1 components, so its image is DELTA^(N-2) =
+    # (-1)^k m^-k (l + l^-1)^k with k = N-2
+    for n in range(2, 201):
+        k = n - 2
+        expected = {(k - 2 * j, -k): (-1) ** k * comb(k, j) for j in range(k + 1)}
+        assert to_homfly(resolve(parse_word(f"{n}: 1"))).terms() == expected
+
+
+def horner_bridge(vector: SkeinVector) -> HomflyPoly:
+    """The bridge by Horner's rule: one product by DELTA per component count."""
+    by_count: dict[int, dict[tuple[int, int], int]] = {}
+    for parts, poly in vector.entries().items():
+        subbed = by_count.setdefault(len(parts), {})
+        for (a, b), c in poly.terms().items():
+            sign = -1 if (a + b) % 2 else 1
+            key = (-2 * a - b, b)
+            subbed[key] = subbed.get(key, 0) + sign * c
+    total = HomflyPoly.zero()
+    for k in range(max(by_count, default=0), 0, -1):
+        total = total * DELTA
+        if k in by_count:
+            total = total + HomflyPoly(by_count[k])
+    return total
+
+
+skein_vectors = st.integers(1, 9).flatmap(lambda n: st.dictionaries(
+    st.sampled_from(partitions_of(n)), polys, max_size=5).map(lambda d: SkeinVector(n, d)))
+
+
+@given(skein_vectors)
+def test_bridge_matches_horner_rule(vector):
+    assert to_homfly(vector) == horner_bridge(vector)
 
 
 # -- oracle -------------------------------------------------------------------------

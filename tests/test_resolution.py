@@ -39,6 +39,42 @@ def hecke2_vector(word: BraidWord) -> SkeinVector:
     return SkeinVector(2, {(1, 1): u, (2,): v})
 
 
+# -- independent row-scan walk -------------------------------------------------
+#
+# The engine's walks follow successor links.  This walker finds each next
+# crossing by scanning every row of the word on every pass instead.
+
+
+def scan_labels(word: BraidWord, basepoint: int) -> dict[int, Label]:
+    seen: set[int] = set()
+    bad: set[int] = set()
+    walked: set[int] = set()
+    for start in (basepoint, *range(1, word.strand_count + 1)):
+        position = start
+        while position not in walked:
+            walked.add(position)
+            for letter in word.letters:
+                i, cid = letter.index, letter.crossing_id
+                if position in (i, i + 1):
+                    if cid not in seen and position != (i if letter.sign > 0 else i + 1):
+                        bad.add(cid)
+                    seen.add(cid)
+                    position = i + 1 if position == i else i
+    return {l.crossing_id: Label.BAD if l.crossing_id in bad else Label.GOOD
+            for l in word.letters}
+
+
+@st.composite
+def gapped_words(draw, max_strands=40, max_len=10):
+    """Words whose generators come from a random subset, so that some
+    strands are idle and the touched ones can sit far apart."""
+    n = draw(st.integers(2, max_strands))
+    pool = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6, unique=True))
+    signed = draw(st.lists(st.sampled_from(pool).flatmap(
+        lambda i: st.sampled_from([i, -i])), max_size=max_len))
+    return BraidWord.from_signed(n, signed)
+
+
 # -- walks ---------------------------------------------------------------------
 
 
@@ -71,6 +107,22 @@ def test_flipping_one_crossing_flips_only_its_label(w):
         expected = dict(base)
         expected[cid] = Label.BAD if base[cid] == Label.GOOD else Label.GOOD
         assert flipped == expected
+
+
+@given(gapped_words())
+@settings(deadline=None)
+def test_link_walks_match_the_row_scan_at_every_basepoint(w):
+    for bp in range(1, w.strand_count + 1):
+        assert label_only(w, bp) == scan_labels(w, bp)
+        assert resolve(w, bp) == tree_vector(resolution_tree(w, bp))
+
+
+def test_idle_strands_close_as_parts_of_one():
+    assert resolve(parse_word("6: 3")) == SkeinVector(6, {(2, 1, 1, 1, 1): LaurentAB.one()})
+    # from an idle strand the walk starts at the smallest touched position
+    assert resolve(parse_word("5: -3 2"), 5) == resolve(parse_word("5: -3 2"), 2)
+    wide = resolve(parse_word("100000: 1"))
+    assert wide.entries() == {(2,) + (1,) * 99998: LaurentAB.one()}
 
 
 # -- resolve ---------------------------------------------------------------------
