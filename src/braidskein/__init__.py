@@ -59,7 +59,6 @@ from .skein import (
 )
 from .templates import (
     DivergencePair,
-    FlypeInstance,
     enumerate_exchange_instances,
     enumerate_flype_instances,
     exchange_pair,
@@ -90,7 +89,6 @@ __all__ = [
     "CrossingChange",
     "DimensionError",
     "DivergencePair",
-    "FlypeInstance",
     "HomflyPoly",
     "JonesPoly",
     "Label",

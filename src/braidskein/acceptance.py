@@ -18,9 +18,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from . import homfly
 from .analysis import MalformedVectorError, nugatory_scan, odd_change_check, parity_consistency
-from .homfly import BraidIndexCertificate, HomflyPoly, certify_braid_index_3, homfly_oracle
+from .homfly import BraidIndexCertificate, HomflyPoly, certify_braid_index_3, homfly_oracle, to_homfly
 from .resolution import Label, label_only, resolve
 from .skein import A, B, SkeinVector
 from .templates import (
@@ -158,7 +157,7 @@ def criterion_4(max_flype_power: int = 3, max_exchange_len: int = 4) -> tuple[bo
     failures = 0
     flypes = exchanges = 0
     for instance in enumerate_flype_instances(max_flype_power):
-        left, right = flype_pair(instance)
+        left, right = flype_pair(*instance)
         flypes += 1
         if resolve(left) != resolve(right):
             failures += 1
@@ -253,15 +252,15 @@ def criterion_8(max_len: int = 7, random_b4: int = 200,
         for signed in signed_words(n, max_len):
             word = BraidWord.from_signed(n, signed)
             checked += 1
-            if homfly.to_homfly(resolve(word)) != homfly_oracle(word):
+            if to_homfly(resolve(word)) != homfly_oracle(word):
                 failures += 1
     rng = random.Random(SEED + 8)
     for _ in range(random_b4):
         word = _random_word(rng, 4, b4_len)
         checked += 1
-        if homfly.to_homfly(resolve(word)) != homfly_oracle(word):
+        if to_homfly(resolve(word)) != homfly_oracle(word):
             failures += 1
-    trefoil_ok = homfly.to_homfly(resolve(parse_word(TREFOIL_WORD))) == TREFOIL_HOMFLY
+    trefoil_ok = to_homfly(resolve(parse_word(TREFOIL_WORD))) == TREFOIL_HOMFLY
     if not trefoil_ok:
         failures += 1
     detail = f"{checked} words bridged (exhaustive n<=3 len<={max_len} + {random_b4} n=4), {failures} mismatches"
@@ -274,8 +273,8 @@ def criterion_9() -> tuple[bool, str]:
     one_strand = resolve(parse_word("1:"))
     stabilized = resolve(parse_word("2: 1"))
     distinct = one_strand != stabilized
-    both_unknot = (homfly.to_homfly(one_strand) == HomflyPoly.one()
-                   and homfly.to_homfly(stabilized) == HomflyPoly.one())
+    both_unknot = (to_homfly(one_strand) == HomflyPoly.one()
+                   and to_homfly(stabilized) == HomflyPoly.one())
     detail = (f"vectors {'distinct' if distinct else 'EQUAL'}, "
               f"bridge images {'both 1' if both_unknot else 'WRONG'}")
     return distinct and both_unknot, detail

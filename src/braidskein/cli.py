@@ -28,8 +28,8 @@ from .analysis import nugatory_scan, odd_change_check, parity_consistency
 from .homfly import BraidIndexCertificate, certify_braid_index_3, jones, mfw_lower_bound, to_homfly
 from .resolution import ResolutionNode, label_only, resolution_tree, resolve
 from .skein import partition_str
-from .templates import FlypeInstance, exchange_pair, flype_pair, search_exchange_divergence
-from .words import BraidWord, MoveError, WordError, parse_word
+from .templates import exchange_pair, flype_pair, search_exchange_divergence
+from .words import BraidWord, parse_word
 
 # (exit code, data for --json, lines of text)
 Output = tuple[int, object, list[str]]
@@ -153,7 +153,7 @@ def _compare_sides(left: BraidWord, right: BraidWord) -> Output:
 
 
 def _cmd_flype_test(args) -> Output:
-    return _compare_sides(*flype_pair(FlypeInstance(args.a, args.b, args.c, args.eps)))
+    return _compare_sides(*flype_pair(args.a, args.b, args.c, args.eps))
 
 
 def _cmd_exchange_test(args) -> Output:
@@ -272,7 +272,7 @@ def main(argv: list[str] | None = None) -> int:
         # The reader closed stdout (`| head`); silence the interpreter's final flush.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return code
-    except (WordError, MoveError, ValueError) as problem:
+    except ValueError as problem:
         print(f"error: {problem}", file=sys.stderr)
         return 2
     except Exception as problem:

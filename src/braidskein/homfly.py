@@ -80,8 +80,8 @@ def _delta_power(k: int) -> HomflyPoly:
 #
 # Everything below recomputes the polynomial from the raw word without the
 # resolution engine: its own walk (components taken highest position first,
-# labels recomputed from scratch on every recursive call), its own component
-# count, and the textbook skein recursion.
+# labels recomputed from scratch on every recursive call), which also counts
+# the components of a descending diagram, and the textbook skein recursion.
 
 _L2_NEG = HomflyPoly.monomial(-1, -2, 0)
 _LM_NEG_INV = HomflyPoly.monomial(-1, -1, 1)
@@ -91,30 +91,16 @@ _LM_NEG = HomflyPoly.monomial(-1, 1, 1)
 _ORACLE_SPLIT = HomflyPoly({(1, -1): -1, (-1, -1): -1})
 
 
-def _oracle_components(letters: tuple[tuple[int, int], ...], n: int) -> int:
-    image = list(range(n + 1))
-    for i, _ in letters:
-        image[i], image[i + 1] = image[i + 1], image[i]
-    count = 0
-    seen = [False] * (n + 1)
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        count += 1
-        p = start
-        while not seen[p]:
-            seen[p] = True
-            p = image.index(p)
-    return count
-
-
-def _oracle_first_under(letters: tuple[tuple[int, int], ...], n: int) -> int | None:
+def _oracle_walk(letters: tuple[tuple[int, int], ...], n: int) -> tuple[int | None, int]:
     """Row of the first under-strand first encounter, walking components
-    from the highest strand position downward."""
+    from the highest strand position downward, and the number of components
+    walked; the row is None when every crossing is first met over."""
     length = len(letters)
     met: set[int] = set()
     remaining = set(range(1, n + 1))
+    components = 0
     while remaining:
+        components += 1
         start = max(remaining)
         tops = {start}
         pos = start
@@ -127,20 +113,20 @@ def _oracle_first_under(letters: tuple[tuple[int, int], ...], n: int) -> int | N
                     met.add(row)
                     over = pos == i if sign > 0 else pos == i + 1
                     if not over:
-                        return row
+                        return row, components
                 pos = i + 1 if pos == i else i
             if pos == start:
                 break
             tops.add(pos)
         remaining -= tops
-    return None
+    return None, components
 
 
 def _oracle_rec(letters: tuple[tuple[int, int], ...], n: int) -> HomflyPoly:
-    row = _oracle_first_under(letters, n)
+    row, components = _oracle_walk(letters, n)
     if row is None:
         value = HomflyPoly.one()
-        for _ in range(_oracle_components(letters, n) - 1):
+        for _ in range(components - 1):
             value = value * _ORACLE_SPLIT
         return value
     i, sign = letters[row]

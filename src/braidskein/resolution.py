@@ -254,13 +254,16 @@ def resolution_tree(word: BraidWord, basepoint: int = 1) -> ResolutionNode:
 
 def tree_vector(node: ResolutionNode) -> SkeinVector:
     """Sum the tree's leaves with their path coefficients."""
-    n = node.word.strand_count
-    if node.is_leaf():
-        return SkeinVector(n, {node.leaf_partition(): LaurentAB.one()})
-    total = SkeinVector(n)
-    for child in node.children:
-        total = total + tree_vector(child).scale(child.edge)
-    return total
+    totals: dict[tuple[int, ...], LaurentAB] = {}
+    stack = [(node, LaurentAB.one())]
+    while stack:
+        current, coeff = stack.pop()
+        if current.is_leaf():
+            parts = current.leaf_partition()
+            totals[parts] = totals.get(parts, LaurentAB.zero()) + coeff
+        else:
+            stack.extend((child, child.edge * coeff) for child in current.children)
+    return SkeinVector(node.word.strand_count, totals)
 
 
 def leaf_count(node: ResolutionNode) -> int:

@@ -183,7 +183,6 @@ class SkeinVector:
     def __init__(self, strand_count: int, entries: Mapping[tuple[int, ...], LaurentAB] = ()):
         clean: dict[tuple[int, ...], LaurentAB] = {}
         for parts, poly in sorted(dict(entries).items(), reverse=True):
-            parts = tuple(parts)
             if not is_partition_of(parts, strand_count):
                 raise DimensionError(
                     f"{parts} is not a partition of {strand_count}"

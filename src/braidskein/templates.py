@@ -25,34 +25,22 @@ from .skein import SkeinVector
 from .words import BraidWord, WordError, cycle_type, permutation, signed_words
 
 
-@dataclass(frozen=True)
-class FlypeInstance:
-    """Exponents (a, b, c) of the template's three power blocks and the
-    sign eps of its lone crossing."""
-
-    a: int
-    b: int
-    c: int
-    eps: int
-
-    def __post_init__(self):
-        if self.eps not in (1, -1):
-            raise ValueError(f"eps must be +1 or -1, got {self.eps}")
-
-
 def _power_block(index: int, power: int) -> list[int]:
     step = index if power > 0 else -index
     return [step] * abs(power)
 
 
-def flype_pair(f: FlypeInstance) -> tuple[BraidWord, BraidWord]:
-    """The two sides of the three-strand flype.
+def flype_pair(a: int, b: int, c: int, eps: int) -> tuple[BraidWord, BraidWord]:
+    """The two sides of the three-strand flype with power blocks a, b, c
+    and a lone crossing of sign eps, which must be +1 or -1.
 
     Left side: s1^a s2^b s1^c s2^eps.  Right side swaps the b-block and the
     eps crossing: s1^a s2^eps s1^c s2^b.  Closures are the same link.
     """
-    left = _power_block(1, f.a) + _power_block(2, f.b) + _power_block(1, f.c) + [2 * f.eps]
-    right = _power_block(1, f.a) + [2 * f.eps] + _power_block(1, f.c) + _power_block(2, f.b)
+    if eps not in (1, -1):
+        raise ValueError(f"eps must be +1 or -1, got {eps}")
+    left = _power_block(1, a) + _power_block(2, b) + _power_block(1, c) + [2 * eps]
+    right = _power_block(1, a) + [2 * eps] + _power_block(1, c) + _power_block(2, b)
     return BraidWord.from_signed(3, left), BraidWord.from_signed(3, right)
 
 
@@ -72,11 +60,11 @@ def exchange_pair(u: BraidWord, v: BraidWord) -> tuple[BraidWord, BraidWord]:
     return BraidWord.from_signed(top + 1, left), BraidWord.from_signed(top + 1, right)
 
 
-def enumerate_flype_instances(max_power: int) -> Iterator[FlypeInstance]:
-    """All instances with |a|, |b|, |c| <= max_power and eps = +-1."""
+def enumerate_flype_instances(max_power: int) -> Iterator[tuple[int, int, int, int]]:
+    """All arguments (a, b, c, eps) of :func:`flype_pair` with
+    |a|, |b|, |c| <= max_power and eps = +-1."""
     span = range(-max_power, max_power + 1)
-    for a, b, c, eps in itertools.product(span, span, span, (1, -1)):
-        yield FlypeInstance(a, b, c, eps)
+    yield from itertools.product(span, span, span, (1, -1))
 
 
 def enumerate_exchange_instances(n: int, max_block_len: int) -> Iterator[tuple[BraidWord, BraidWord]]:

@@ -141,6 +141,14 @@ def test_oracle_reference_values():
     assert homfly_oracle(parse_word("2: 1 -1")) == DELTA
     assert homfly_oracle(parse_word("2: 1 1 1")) == TREFOIL
     assert homfly_oracle(parse_word("3: 1 -2 1 -2")) == FIGURE_EIGHT
+    # more than 4 strands: split unlinks and a split trefoil
+    powers = [HomflyPoly.one()]
+    for _ in range(7):
+        powers.append(powers[-1] * DELTA)
+    for n in range(5, 9):
+        assert homfly_oracle(parse_word(f"{n}:")) == powers[n - 1]
+    assert homfly_oracle(parse_word("6: 1 -1 4")) == powers[4]
+    assert homfly_oracle(parse_word("7: 1 1 1 5")) == TREFOIL * powers[4]
 
 
 @given(words(max_strands=4, max_len=8))

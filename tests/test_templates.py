@@ -10,7 +10,6 @@ from braidskein.homfly import homfly_oracle
 from braidskein.resolution import resolve
 from braidskein.templates import (
     DivergencePair,
-    FlypeInstance,
     enumerate_exchange_instances,
     enumerate_flype_instances,
     exchange_pair,
@@ -28,25 +27,25 @@ def b2(*signed):
 
 
 def test_flype_pair_example():
-    left, right = flype_pair(FlypeInstance(2, 3, 2, 1))
+    left, right = flype_pair(2, 3, 2, 1)
     assert left.format() == "3: 1 1 2 2 2 1 1 2"
     assert right.format() == "3: 1 1 2 1 1 2 2 2"
 
 
 def test_flype_pair_negative_powers():
-    left, right = flype_pair(FlypeInstance(1, -2, 1, -1))
+    left, right = flype_pair(1, -2, 1, -1)
     assert left.format() == "3: 1 -2 -2 1 -2"
     assert right.format() == "3: 1 -2 1 -2 -2"
 
 
 def test_flype_degenerate_when_b_equals_eps():
-    left, right = flype_pair(FlypeInstance(2, 1, -1, 1))
+    left, right = flype_pair(2, 1, -1, 1)
     assert left.signed_indices() == right.signed_indices()
 
 
 def test_flype_validates_eps():
     with pytest.raises(ValueError):
-        FlypeInstance(1, 1, 1, 2)
+        flype_pair(1, 1, 1, 2)
 
 
 def test_exchange_pair_example():
@@ -87,7 +86,7 @@ def test_enumeration_counts():
        st.sampled_from([1, -1]))
 @settings(deadline=None)
 def test_flype_preserves_resolution(a, b, c, eps):
-    left, right = flype_pair(FlypeInstance(a, b, c, eps))
+    left, right = flype_pair(a, b, c, eps)
     assert resolve(left) == resolve(right)
     assert homfly_oracle(left) == homfly_oracle(right)
 
