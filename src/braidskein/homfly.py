@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import enum
 from itertools import accumulate
-from math import comb
 
 from .resolution import resolve
 from .skein import Laurent, SkeinVector
@@ -64,16 +63,20 @@ def to_homfly(vector: SkeinVector) -> HomflyPoly:
     return total
 
 
+def _binomials(k: int) -> list[int]:
+    """C(k, 0), ..., C(k, k), each from the one before by their running ratio."""
+    row = [1]
+    for j in range(k):
+        row.append(row[-1] * (k - j) // (j + 1))
+    return row
+
+
 def _delta_power(k: int) -> HomflyPoly:
     """DELTA^k = sum_j C(k, j) * x^j * y^(k-j) over DELTA's terms x and y."""
     ((xl, xm), cx), *rest = DELTA.terms().items()
     (((yl, ym), cy),) = rest or [((0, 0), 0)]  # a monomial DELTA has y = 0
-    terms = {}
-    binom = 1
-    for j in range(k + 1):
-        terms[(j * xl + (k - j) * yl, j * xm + (k - j) * ym)] = binom * cx**j * cy**(k - j)
-        binom = binom * (k - j) // (j + 1)
-    return HomflyPoly(terms)
+    return HomflyPoly({(j * xl + (k - j) * yl, j * xm + (k - j) * ym): b * cx**j * cy**(k - j)
+                       for j, b in enumerate(_binomials(k))})
 
 
 # -- independent oracle -------------------------------------------------------------
@@ -218,23 +221,58 @@ def jones(h: HomflyPoly) -> JonesPoly:
 
     All arithmetic is exact in q = t^(1/2); the imaginary units cancel
     because l and m exponents always have an even sum.
+
+    With u = l + l^-1, m^-c * u^c maps to (q + q^-1)^c, so from each group
+    m^-c * f(l) the part that u^c divides is peeled off with no division:
+    f(l)*l^c, a polynomial in y = l^2, is divided by (1 + y)^c from the top,
+    and each quotient term is expanded against (q + q^-1)^c.
+    A bridge image peels whole, since each P_k*DELTA^(k-1) is divisible by
+    u^(k-1).  What the peel leaves, with the terms of m-degree >= 0, is
+    multiplied by (q^-1 - q)^clear to clear its negative powers of m and
+    divided back by running sums.
     """
     terms = h.terms()
-    if not terms:
-        return JonesPoly()
-    clear = max(0, -min(me for _, me in terms))
+    if any((le + me) % 2 for le, me in terms):
+        raise ValueError("l and m exponents must have even sum")
+    groups: dict[int, dict[int, int]] = {}
+    rest: dict[tuple[int, int], int] = {}
+    for (le, me), x in terms.items():
+        if me < 0:
+            groups.setdefault(-me, {})[le] = x
+        else:
+            rest[le, me] = x
+    out: dict[int, int] = {}
+    for c, f in groups.items():
+        row = _binomials(c)
+        lo = (min(f) + c) // 2
+        ys = [0] * ((max(f) + c) // 2 - lo + 1)
+        for le, x in f.items():
+            ys[(le + c) // 2 - lo] = x
+        for d in range(len(ys) - 1, c - 1, -1):
+            top = ys[d]
+            if not top:
+                continue
+            # top*y^e*u^c*m^-c maps to top*(-1)^e*q^(-4e)*(q + q^-1)^c
+            e = lo + d - c
+            signed = -top if e % 2 else top
+            for j, b in enumerate(row):
+                ys[d - c + j] -= top * b
+                key = c - 2 * j - 4 * e
+                out[key] = out.get(key, 0) + signed * b
+        rest.update({(2 * (lo + d) - c, -c): x for d, x in enumerate(ys[:c]) if x})
+    if not rest:
+        return JonesPoly(out)
+    clear = max(0, -min(me for _, me in rest))
     # dense coefficients of q^lo, q^(lo+1), ...
-    lo = min(-2 * le - me - clear for le, me in terms)
-    hi = max(-2 * le + me + clear for le, me in terms)
+    lo = min(-2 * le - me - clear for le, me in rest)
+    hi = max(-2 * le + me + clear for le, me in rest)
     coeffs = [0] * (hi - lo + 1)
-    for (le, me), c in terms.items():
-        if (le + me) % 2:
-            raise ValueError("l and m exponents must have even sum")
+    for (le, me), c in rest.items():
         sign = -1 if ((le + me) // 2) % 2 else 1
         # c * q^(-2*le) * (q^-1 - q)^(me + clear)
         k = me + clear
-        for j in range(k + 1):
-            coeffs[-2 * le + 2 * j - k - lo] += sign * c * comb(k, j) * (-1) ** j
+        for j, b in enumerate(_binomials(k)):
+            coeffs[-2 * le + 2 * j - k - lo] += sign * c * b * (-1) ** j
     for _ in range(clear):
         # divide by q^-1 - q = q^-1 * (1 - q^2): running sums along each
         # exponent parity, then the q^-1 shifts the low exponent up by one
@@ -244,4 +282,6 @@ def jones(h: HomflyPoly) -> JonesPoly:
             raise ValueError("polynomial is not divisible by (q^-1 - q)")
         del coeffs[-2:]
         lo += 1
-    return JonesPoly({lo + i: c for i, c in enumerate(coeffs) if c})
+    for i, x in enumerate(coeffs):
+        out[lo + i] = out.get(lo + i, 0) + x
+    return JonesPoly(out)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from itertools import accumulate
 from math import comb
 
 import pytest
@@ -105,6 +106,18 @@ def test_bridge_on_wide_unlink_patterns():
         k = n - 2
         expected = {(k - 2 * j, -k): (-1) ** k * comb(k, j) for j in range(k + 1)}
         assert to_homfly(resolve(parse_word(f"{n}: 1"))).terms() == expected
+
+
+def test_jones_on_wide_unlink_patterns():
+    # the image of N: 1 is DELTA^(N-2), whose Jones polynomial is
+    # jones(DELTA)^(N-2) = (-t^(-1/2) - t^(1/2))^(N-2)
+    expected = JonesPoly.one()
+    for n in range(2, 201):
+        assert jones(to_homfly(resolve(parse_word(f"{n}: 1")))) == expected
+        expected = expected * JonesPoly({-1: -1, 1: -1})
+    k = 3998
+    wide = {k - 2 * j: (-1) ** k * comb(k, j) for j in range(k + 1)}
+    assert jones(to_homfly(resolve(parse_word("4000: 1")))).terms() == wide
 
 
 def horner_bridge(vector: SkeinVector) -> HomflyPoly:
@@ -221,6 +234,9 @@ def test_jones_rejects_a_remainder():
     # l*m^-1 clears to a single q-power, which (q^-1 - q) does not divide
     with pytest.raises(ValueError, match="not divisible"):
         jones(HomflyPoly({(1, -1): 1}))
+    # DELTA^5 peels whole, and l*m^-1 beside it still does not divide
+    with pytest.raises(ValueError, match="not divisible"):
+        jones(DELTA * DELTA * DELTA * DELTA * DELTA + HomflyPoly({(1, -1): 1}))
 
 
 def test_jones_is_a_ring_map():
@@ -232,6 +248,72 @@ def test_jones_monomial():
     assert JonesPoly.monomial(3, 2).format() == "3*t"
     assert JonesPoly.monomial(-1, -1) == JonesPoly({-1: -1})
     assert JonesPoly.monomial(1) == JonesPoly.one()
+
+
+def test_jones_divides_what_the_peel_leaves():
+    # the m^-3 group is l*u^2 with u = l + l^-1, which u^3 does not divide
+    h = HomflyPoly({(3, -3): 1, (1, -3): 2, (-1, -3): 1, (1, -1): -4})
+    assert jones(h) == JonesPoly({-3: 1, -1: -1})
+    assert jones(h).format() == "t^(-3/2) - t^(-1/2)"
+
+
+def cleared_jones(h: HomflyPoly) -> JonesPoly:
+    """Jones by clearing every negative m-power and dividing each back out."""
+    terms = h.terms()
+    if not terms:
+        return JonesPoly()
+    clear = max(0, -min(me for _, me in terms))
+    lo = min(-2 * le - me - clear for le, me in terms)
+    hi = max(-2 * le + me + clear for le, me in terms)
+    coeffs = [0] * (hi - lo + 1)
+    for (le, me), c in terms.items():
+        if (le + me) % 2:
+            raise ValueError("l and m exponents must have even sum")
+        sign = -1 if ((le + me) // 2) % 2 else 1
+        k = me + clear
+        for j in range(k + 1):
+            coeffs[-2 * le + 2 * j - k - lo] += sign * c * comb(k, j) * (-1) ** j
+    for _ in range(clear):
+        coeffs[0::2] = accumulate(coeffs[0::2])
+        coeffs[1::2] = accumulate(coeffs[1::2])
+        if any(coeffs[-2:]):
+            raise ValueError("polynomial is not divisible by (q^-1 - q)")
+        del coeffs[-2:]
+        lo += 1
+    return JonesPoly({lo + i: c for i, c in enumerate(coeffs) if c})
+
+
+def _place(n, blocks):
+    """Blocks of at most 4 strands each shifted up by its offset on n strands."""
+    signed = [s + (off if s > 0 else -off) for w, off in blocks for s in w.signed_indices()]
+    return BraidWord.from_signed(n, signed)
+
+
+# words whose blocks leave most strands idle, so several m-degrees peel at once
+split_words = st.integers(4, 40).flatmap(lambda n: st.lists(
+    st.tuples(words(max_strands=4, max_len=3), st.integers(0, n - 4)),
+    max_size=4).map(lambda blocks: _place(n, blocks)))
+
+
+@given(st.one_of(words(max_strands=6, max_len=8), split_words))
+@settings(deadline=None)
+def test_jones_matches_cleared_division(w):
+    h = to_homfly(resolve(w))
+    assert jones(h) == cleared_jones(h)
+
+
+def _value_or_error(f, h):
+    try:
+        return f(h)
+    except ValueError as error:
+        return str(error)
+
+
+@given(homfly_polys)
+def test_jones_matches_cleared_division_on_any_polynomial(h):
+    # the same value, or the same ValueError where the division fails
+    for x in (h, h * DELTA * DELTA):
+        assert _value_or_error(jones, x) == _value_or_error(cleared_jones, x)
 
 
 @given(words(max_strands=3, max_len=8))
