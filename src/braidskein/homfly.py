@@ -83,13 +83,10 @@ def _delta_power(k: int) -> HomflyPoly:
 #
 # Everything below recomputes the polynomial from the raw word without the
 # resolution engine: its own walk (components taken highest position first,
-# labels recomputed from scratch on every recursive call), which also counts
-# the components of a descending diagram, and the textbook skein recursion.
+# labels recomputed from scratch for every diagram), which also counts the
+# components of a descending diagram, and the skein relation on an explicit
+# stack of diagrams, each with the monomial the relation put on its path.
 
-_L2_NEG = HomflyPoly.monomial(-1, -2, 0)
-_LM_NEG_INV = HomflyPoly.monomial(-1, -1, 1)
-_L2_NEG_POS = HomflyPoly.monomial(-1, 2, 0)
-_LM_NEG = HomflyPoly.monomial(-1, 1, 1)
 # the oracle's own split-unknot value, deliberately not shared with DELTA
 _ORACLE_SPLIT = HomflyPoly({(1, -1): -1, (-1, -1): -1})
 
@@ -98,53 +95,49 @@ def _oracle_walk(letters: tuple[tuple[int, int], ...], n: int) -> tuple[int | No
     """Row of the first under-strand first encounter, walking components
     from the highest strand position downward, and the number of components
     walked; the row is None when every crossing is first met over."""
-    length = len(letters)
     met: set[int] = set()
-    remaining = set(range(1, n + 1))
+    walked: set[int] = set()
     components = 0
-    while remaining:
+    for start in range(n, 0, -1):
+        if start in walked:
+            continue
         components += 1
-        start = max(remaining)
-        tops = {start}
         pos = start
-        while True:
-            for row in range(length):
-                i, sign = letters[row]
+        while pos not in walked:  # until the component closes up at start
+            walked.add(pos)
+            for row, (i, sign) in enumerate(letters):
                 if pos != i and pos != i + 1:
                     continue
                 if row not in met:
                     met.add(row)
-                    over = pos == i if sign > 0 else pos == i + 1
-                    if not over:
+                    if (pos == i) != (sign > 0):  # first met on the under-strand
                         return row, components
                 pos = i + 1 if pos == i else i
-            if pos == start:
-                break
-            tops.add(pos)
-        remaining -= tops
     return None, components
-
-
-def _oracle_rec(letters: tuple[tuple[int, int], ...], n: int) -> HomflyPoly:
-    row, components = _oracle_walk(letters, n)
-    if row is None:
-        value = HomflyPoly.one()
-        for _ in range(components - 1):
-            value = value * _ORACLE_SPLIT
-        return value
-    i, sign = letters[row]
-    flipped = letters[:row] + ((i, -sign),) + letters[row + 1:]
-    deleted = letters[:row] + letters[row + 1:]
-    if sign > 0:
-        # l*P(+) + l^-1*P(-) + m*P(0) = 0 solved for P(+)
-        return _L2_NEG * _oracle_rec(flipped, n) + _LM_NEG_INV * _oracle_rec(deleted, n)
-    return _L2_NEG_POS * _oracle_rec(flipped, n) + _LM_NEG * _oracle_rec(deleted, n)
 
 
 def homfly_oracle(word: BraidWord) -> HomflyPoly:
     """Polynomial of the closure, computed independently of the resolution."""
-    letters = tuple((l.index, l.sign) for l in word.letters)
-    return _oracle_rec(letters, word.strand_count)
+    sums: dict[int, dict[tuple[int, int], int]] = {}
+    stack = [(tuple((l.index, l.sign) for l in word.letters), 1, 0, 0)]
+    while stack:
+        letters, c, le, me = stack.pop()
+        row, components = _oracle_walk(letters, word.strand_count)
+        if row is None:
+            leaf = sums.setdefault(components, {})
+            leaf[le, me] = leaf.get((le, me), 0) + c
+            continue
+        i, sign = letters[row]
+        # l*P(+) + l^-1*P(-) + m*P(0) = 0 solved for the crossing's own sign
+        stack.append((letters[:row] + ((i, -sign),) + letters[row + 1:], -c, le - 2 * sign, me))
+        stack.append((letters[:row] + letters[row + 1:], -c, le - sign, me + 1))
+    total = HomflyPoly.zero()
+    for k, leaf in sums.items():
+        value = HomflyPoly(leaf)
+        for _ in range(k - 1):
+            value = value * _ORACLE_SPLIT
+        total = total + value
+    return total
 
 
 # -- braid index ---------------------------------------------------------------------

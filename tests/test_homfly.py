@@ -162,9 +162,24 @@ def test_oracle_reference_values():
         assert homfly_oracle(parse_word(f"{n}:")) == powers[n - 1]
     assert homfly_oracle(parse_word("6: 1 -1 4")) == powers[4]
     assert homfly_oracle(parse_word("7: 1 1 1 5")) == TREFOIL * powers[4]
+    # 1,200 letters deep: the oracle must not lean on the recursion limit
+    assert homfly_oracle(parse_word("2: " + " ".join(["1 -1"] * 600))) == DELTA
 
 
-@given(words(max_strands=4, max_len=8))
+def _place(n, blocks):
+    """Blocks of at most 4 strands each shifted up by its offset on n strands."""
+    signed = [s + (off if s > 0 else -off) for w, off in blocks for s in w.signed_indices()]
+    return BraidWord.from_signed(n, signed)
+
+
+# words whose blocks leave most strands idle: many components at once, so
+# several m-degrees peel and the oracle sums many component counts
+split_words = st.integers(4, 40).flatmap(lambda n: st.lists(
+    st.tuples(words(max_strands=4, max_len=3), st.integers(0, n - 4)),
+    max_size=4).map(lambda blocks: _place(n, blocks)))
+
+
+@given(st.one_of(words(max_strands=4, max_len=8), split_words))
 @settings(deadline=None)
 def test_bridge_agrees_with_oracle(w):
     assert to_homfly(resolve(w)) == homfly_oracle(w)
@@ -281,18 +296,6 @@ def cleared_jones(h: HomflyPoly) -> JonesPoly:
         del coeffs[-2:]
         lo += 1
     return JonesPoly({lo + i: c for i, c in enumerate(coeffs) if c})
-
-
-def _place(n, blocks):
-    """Blocks of at most 4 strands each shifted up by its offset on n strands."""
-    signed = [s + (off if s > 0 else -off) for w, off in blocks for s in w.signed_indices()]
-    return BraidWord.from_signed(n, signed)
-
-
-# words whose blocks leave most strands idle, so several m-degrees peel at once
-split_words = st.integers(4, 40).flatmap(lambda n: st.lists(
-    st.tuples(words(max_strands=4, max_len=3), st.integers(0, n - 4)),
-    max_size=4).map(lambda blocks: _place(n, blocks)))
 
 
 @given(st.one_of(words(max_strands=6, max_len=8), split_words))
