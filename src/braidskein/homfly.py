@@ -21,7 +21,6 @@ bound is one-sided; inputs that fail it stay "Unknown", never "not 3".
 from __future__ import annotations
 
 import enum
-from itertools import accumulate
 
 from .resolution import resolve
 from .skein import Laurent, SkeinVector
@@ -215,26 +214,28 @@ def jones(h: HomflyPoly) -> JonesPoly:
     All arithmetic is exact in q = t^(1/2); the imaginary units cancel
     because l and m exponents always have an even sum.
 
-    With u = l + l^-1, m^-c * u^c maps to (q + q^-1)^c, so from each group
-    m^-c * f(l) the part that u^c divides is peeled off with no division:
-    f(l)*l^c, a polynomial in y = l^2, is divided by (1 + y)^c from the top,
-    and each quotient term is expanded against (q + q^-1)^c.
-    A bridge image peels whole, since each P_k*DELTA^(k-1) is divisible by
-    u^(k-1).  What the peel leaves, with the terms of m-degree >= 0, is
-    multiplied by (q^-1 - q)^clear to clear its negative powers of m and
-    divided back by running sums.
+    The domain is the polynomial of a link: a sum of P_k*DELTA^(k-1), where
+    no P_k has a negative power of m.  DELTA^(k-1) = (-u)^(k-1)*m^(1-k) with
+    u = l + l^-1, so each group m^-c * f(l) of such a sum is divisible by
+    u^c.  A term of m-degree e >= 0 is expanded against (q^-1 - q)^e.  From
+    each group, f(l)*l^c, a polynomial in y = l^2, is divided by (1 + y)^c
+    from the top, and since m^-c * u^c maps to (q + q^-1)^c, each quotient
+    term is expanded against that.  A group that leaves a remainder, which
+    no link's polynomial has, raises ValueError.
     """
-    terms = h.terms()
-    if any((le + me) % 2 for le, me in terms):
-        raise ValueError("l and m exponents must have even sum")
+    out: dict[int, int] = {}
     groups: dict[int, dict[int, int]] = {}
-    rest: dict[tuple[int, int], int] = {}
-    for (le, me), x in terms.items():
+    for (le, me), x in h.terms().items():
+        if (le + me) % 2:
+            raise ValueError("l and m exponents must have even sum")
         if me < 0:
             groups.setdefault(-me, {})[le] = x
-        else:
-            rest[le, me] = x
-    out: dict[int, int] = {}
+            continue
+        # x*l^le*m^me maps to x*(-1)^((le+me)/2) * q^(-2*le) * (q^-1 - q)^me
+        signed = -x if ((le + me) // 2) % 2 else x
+        for j, b in enumerate(_binomials(me)):
+            key = 2 * j - me - 2 * le
+            out[key] = out.get(key, 0) + (-signed * b if j % 2 else signed * b)
     for c, f in groups.items():
         row = _binomials(c)
         lo = (min(f) + c) // 2
@@ -252,29 +253,6 @@ def jones(h: HomflyPoly) -> JonesPoly:
                 ys[d - c + j] -= top * b
                 key = c - 2 * j - 4 * e
                 out[key] = out.get(key, 0) + signed * b
-        rest.update({(2 * (lo + d) - c, -c): x for d, x in enumerate(ys[:c]) if x})
-    if not rest:
-        return JonesPoly(out)
-    clear = max(0, -min(me for _, me in rest))
-    # dense coefficients of q^lo, q^(lo+1), ...
-    lo = min(-2 * le - me - clear for le, me in rest)
-    hi = max(-2 * le + me + clear for le, me in rest)
-    coeffs = [0] * (hi - lo + 1)
-    for (le, me), c in rest.items():
-        sign = -1 if ((le + me) // 2) % 2 else 1
-        # c * q^(-2*le) * (q^-1 - q)^(me + clear)
-        k = me + clear
-        for j, b in enumerate(_binomials(k)):
-            coeffs[-2 * le + 2 * j - k - lo] += sign * c * b * (-1) ** j
-    for _ in range(clear):
-        # divide by q^-1 - q = q^-1 * (1 - q^2): running sums along each
-        # exponent parity, then the q^-1 shifts the low exponent up by one
-        coeffs[0::2] = accumulate(coeffs[0::2])
-        coeffs[1::2] = accumulate(coeffs[1::2])
-        if any(coeffs[-2:]):
-            raise ValueError("polynomial is not divisible by (q^-1 - q)")
-        del coeffs[-2:]
-        lo += 1
-    for i, x in enumerate(coeffs):
-        out[lo + i] = out.get(lo + i, 0) + x
+        if any(ys[:c]):
+            raise ValueError(f"the m^-{c} part is not divisible by (l + l^-1)^{c}")
     return JonesPoly(out)

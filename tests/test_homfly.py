@@ -265,11 +265,16 @@ def test_jones_monomial():
     assert JonesPoly.monomial(1) == JonesPoly.one()
 
 
-def test_jones_divides_what_the_peel_leaves():
+def test_jones_rejects_what_no_link_has():
     # the m^-3 group is l*u^2 with u = l + l^-1, which u^3 does not divide
     h = HomflyPoly({(3, -3): 1, (1, -3): 2, (-1, -3): 1, (1, -1): -4})
-    assert jones(h) == JonesPoly({-3: 1, -1: -1})
-    assert jones(h).format() == "t^(-3/2) - t^(-1/2)"
+    with pytest.raises(ValueError, match="not divisible"):
+        jones(h)
+    # 1 - 4m^-2 + u^2*m^-4, which the cleared division maps to 0
+    g = HomflyPoly({(0, 0): 1, (0, -2): -4, (2, -4): 1, (0, -4): 2, (-2, -4): 1})
+    assert cleared_jones(g) == JonesPoly()
+    with pytest.raises(ValueError, match="not divisible"):
+        jones(g)
 
 
 def cleared_jones(h: HomflyPoly) -> JonesPoly:
@@ -298,30 +303,42 @@ def cleared_jones(h: HomflyPoly) -> JonesPoly:
     return JonesPoly({lo + i: c for i, c in enumerate(coeffs) if c})
 
 
-@given(st.one_of(words(max_strands=6, max_len=8), split_words))
+# bridge images of words, of split words with many idle strands, and of
+# arbitrary vectors on up to 9 strands: link polynomials with many m-degrees
+@given(st.one_of(words(max_strands=6, max_len=8).map(resolve), split_words.map(resolve),
+                 skein_vectors))
 @settings(deadline=None)
-def test_jones_matches_cleared_division(w):
-    h = to_homfly(resolve(w))
+def test_jones_matches_cleared_division(v):
+    h = to_homfly(v)
     assert jones(h) == cleared_jones(h)
 
 
-def _value_or_error(f, h):
-    try:
-        return f(h)
-    except ValueError as error:
-        return str(error)
+def _error(f, h):
+    with pytest.raises(ValueError) as error:
+        f(h)
+    return str(error.value)
 
 
 @given(homfly_polys)
 def test_jones_matches_cleared_division_on_any_polynomial(h):
-    # the same value, or the same ValueError where the division fails
+    odd = any((le + me) % 2 for le, me in h.terms())
     for x in (h, h * DELTA * DELTA):
-        assert _value_or_error(jones, x) == _value_or_error(cleared_jones, x)
+        if odd:
+            assert _error(jones, x) == _error(cleared_jones, x)
+            continue
+        try:
+            value = jones(x)
+        except ValueError:
+            continue  # no link has x
+        assert value == cleared_jones(x)
+    if not odd and all(me >= 0 for _, me in h.terms()):
+        # h * DELTA^2 has the form P_3 * DELTA^2 of a link polynomial
+        jones(h * DELTA * DELTA)
 
 
 @given(words(max_strands=3, max_len=8))
 @settings(deadline=None)
 def test_jones_specialization_is_always_exact(w):
-    # Division by the cleared m-denominator must come out exact with
-    # integer coefficients for every closure.
+    # Every m^-c group must peel whole, with integer coefficients, for
+    # every closure.
     jones(homfly_oracle(w))
