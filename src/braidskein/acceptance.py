@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import random
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .analysis import MalformedVectorError, nugatory_scan, odd_change_check, parity_consistency
 from .homfly import BraidIndexCertificate, HomflyPoly, certify_braid_index_3, homfly_oracle, to_homfly
@@ -39,8 +39,7 @@ TREFOIL_HOMFLY = HomflyPoly({(-4, 0): -1, (-2, 0): -2, (-2, 2): 1})
 FIGURE_EIGHT_WORD = "3: 1 -2 1 -2"
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -14,7 +14,6 @@ records how the output moved.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .resolution import Label, label_only, resolve
@@ -60,8 +59,7 @@ def bfree_exponent(vector: SkeinVector) -> int:
     return a
 
 
-@dataclass(frozen=True)
-class ParityReport:
+class ParityReport(NamedTuple):
     k: int
     positive_bad: int
     negative_bad: int
@@ -86,8 +84,7 @@ def parity_consistency(word: BraidWord, basepoint: int = 1) -> ParityReport:
     return ParityReport(k, counts.positive_bad, counts.negative_bad)
 
 
-@dataclass(frozen=True)
-class CrossingChange:
+class CrossingChange(NamedTuple):
     """Effect of flipping one crossing on the resolution output."""
 
     crossing_id: int
@@ -96,8 +93,7 @@ class CrossingChange:
     bfree_delta: int
 
 
-@dataclass(frozen=True)
-class NugatoryScanReport:
+class NugatoryScanReport(NamedTuple):
     base_vector: SkeinVector
     entries: tuple[CrossingChange, ...]
 
@@ -130,8 +126,7 @@ def nugatory_scan(word: BraidWord, basepoint: int = 1) -> NugatoryScanReport:
     return NugatoryScanReport(base, tuple(entries))
 
 
-@dataclass(frozen=True)
-class OddChangeReport:
+class OddChangeReport(NamedTuple):
     changed_word: BraidWord
     crossing_ids: tuple[int, ...]
     original_vector: SkeinVector

@@ -23,12 +23,11 @@ import json
 import os
 import sys
 
-from .acceptance import run_all
-from .analysis import nugatory_scan, odd_change_check, parity_consistency
+# Every process pays for the modules it imports; analysis, templates and
+# acceptance serve few commands, so their handlers import them.
 from .homfly import BraidIndexCertificate, certify_braid_index_3, jones, mfw_lower_bound, to_homfly
 from .resolution import ResolutionNode, label_only, resolution_tree, resolve
 from .skein import partition_str
-from .templates import exchange_pair, flype_pair, search_exchange_divergence
 from .words import BraidWord, parse_word
 
 # (exit code, data for --json, lines of text)
@@ -77,12 +76,16 @@ def _cmd_tree(args) -> Output:
 
 
 def _cmd_parity(args) -> Output:
+    from .analysis import parity_consistency
+
     report = parity_consistency(parse_word(args.word), args.basepoint)
     data = {"k": report.k, "p": report.positive_bad, "n": report.negative_bad, "ok": report.ok}
     return 0 if report.ok else 1, data, [report.format()]
 
 
 def _cmd_nugatory(args) -> Output:
+    from .analysis import nugatory_scan
+
     report = nugatory_scan(parse_word(args.word), args.basepoint)
     data = {
         "base": report.base_vector.to_json_dict(),
@@ -104,6 +107,8 @@ def _cmd_nugatory(args) -> Output:
 
 
 def _cmd_odd_change(args) -> Output:
+    from .analysis import odd_change_check
+
     report = odd_change_check(parse_word(args.word), args.ids)
     data = {
         "ids": list(report.crossing_ids),
@@ -153,14 +158,20 @@ def _compare_sides(left: BraidWord, right: BraidWord) -> Output:
 
 
 def _cmd_flype_test(args) -> Output:
+    from .templates import flype_pair
+
     return _compare_sides(*flype_pair(args.a, args.b, args.c, args.eps))
 
 
 def _cmd_exchange_test(args) -> Output:
+    from .templates import exchange_pair
+
     return _compare_sides(*exchange_pair(parse_word(args.u), parse_word(args.v)))
 
 
 def _cmd_exchange_search(args) -> Output:
+    from .templates import search_exchange_divergence
+
     hits = search_exchange_divergence(4, args.max_len)
     knots = sum(1 for hit in hits if hit.is_knot)
     data = {
@@ -183,6 +194,8 @@ def _cmd_exchange_search(args) -> Output:
 
 
 def _cmd_selftest(args) -> Output:
+    from .acceptance import run_all
+
     results = run_all(quick=args.quick)
     data = [
         {"number": r.number, "name": r.name, "passed": r.passed,

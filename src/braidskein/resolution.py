@@ -27,8 +27,7 @@ from-scratch reference that :func:`resolve` is tested against.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .skein import A, A_INV, B, NEG_A_INV_B, LaurentAB, SkeinVector
 from .words import BraidWord, Letter, WordError, cycle_type, permutation
@@ -199,8 +198,7 @@ def compare_basepoints(word: BraidWord) -> dict[int, SkeinVector]:
 # -- explicit tree ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ResolutionNode:
+class ResolutionNode(NamedTuple):
     """One diagram in the branching resolution.
 
     ``edge`` is the skein factor on the edge from the parent (None at the

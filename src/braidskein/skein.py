@@ -149,10 +149,10 @@ class LaurentAB(Laurent):
     _variables = ("A", "B")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
-        for _, b in terms:
+        Laurent.__init__(self, terms)
+        for _, b in self._terms:
             if b < 0:
                 raise RingDomainError(f"negative exponent {b} on B")
-        Laurent.__init__(self, terms)
 
     @staticmethod
     def _term_order(term):

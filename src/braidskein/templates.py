@@ -16,8 +16,7 @@ enumerates block pairs to exhibit that divergence.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .homfly import homfly_oracle
 from .resolution import resolve
@@ -74,8 +73,7 @@ def enumerate_exchange_instances(n: int, max_block_len: int) -> Iterator[tuple[B
     yield from itertools.product(blocks, repeat=2)
 
 
-@dataclass(frozen=True)
-class DivergencePair:
+class DivergencePair(NamedTuple):
     """An exchange-related pair whose resolution outputs differ."""
 
     left: BraidWord

@@ -22,7 +22,6 @@ the same crossing in every word derived from the original.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
@@ -40,28 +39,51 @@ class Letter(NamedTuple):
     crossing_id: int
 
 
-@dataclass(frozen=True)
 class BraidWord:
     """An n-strand braid word.  Immutable; every move returns a new word."""
 
+    __slots__ = ("strand_count", "letters")
     strand_count: int
     letters: tuple[Letter, ...]
 
-    def __post_init__(self):
-        if self.strand_count < 1:
-            raise WordError(f"strand count must be >= 1, got {self.strand_count}")
+    def __init__(self, strand_count: int, letters: tuple[Letter, ...]):
+        if strand_count < 1:
+            raise WordError(f"strand count must be >= 1, got {strand_count}")
         seen_ids = set()
-        for letter in self.letters:
-            if not 1 <= letter.index < self.strand_count:
+        for letter in letters:
+            if not 1 <= letter.index < strand_count:
                 raise WordError(
                     f"generator index {letter.index} out of range for "
-                    f"{self.strand_count} strands"
+                    f"{strand_count} strands"
                 )
             if letter.sign not in (1, -1):
                 raise WordError(f"letter sign must be +1 or -1, got {letter.sign}")
             if letter.crossing_id in seen_ids:
                 raise WordError(f"duplicate crossing id {letter.crossing_id}")
             seen_ids.add(letter.crossing_id)
+        object.__setattr__(self, "strand_count", strand_count)
+        object.__setattr__(self, "letters", letters)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"BraidWord is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"BraidWord is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, since __setattr__ refuses
+        return BraidWord, (self.strand_count, self.letters)
+
+    def __eq__(self, other):
+        if type(other) is not BraidWord:
+            return NotImplemented
+        return self.strand_count == other.strand_count and self.letters == other.letters
+
+    def __hash__(self) -> int:
+        return hash((self.strand_count, self.letters))
+
+    def __repr__(self) -> str:
+        return f"BraidWord(strand_count={self.strand_count!r}, letters={self.letters!r})"
 
     # -- construction ------------------------------------------------------
 

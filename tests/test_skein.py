@@ -37,6 +37,13 @@ def test_negative_b_exponent_rejected():
         LaurentAB.monomial(1, 0, -1)
 
 
+def test_terms_as_pairs_check_the_b_exponent():
+    # a coefficient in a (key, coeff) pair is not read as the B exponent
+    assert LaurentAB([((0, 1), -1)]) == -B
+    with pytest.raises(RingDomainError):
+        LaurentAB([((0, -1), 1)])
+
+
 def test_zero_terms_dropped():
     assert LaurentAB({(1, 0): 0}) == LaurentAB.zero()
     assert not (A - A)
