@@ -13,24 +13,39 @@ descending; each leaf closes to the unlink pattern named by its cycle type.
 
 The walk is stated twice, and both statements follow successor links
 (:func:`_links`), so a pass costs the rows it crosses, not the whole word.
-:func:`resolve` runs the walk as a depth-first search that continues in
-place past each branch point; strands that no crossing touches close at
-once as parts of size 1.  The generator :func:`_first_unders` runs it
-plainly, yielding each bad crossing as the walk reaches it;
-:func:`label_only` reads all of it, and :func:`resolution_tree` still
-re-walks each node from the basepoint up to the first bad crossing.  Labels
-persist into child diagrams, so the re-walk retraces the parent's path and
-makes no new decision before the branch point: the tree is the
-from-scratch reference that :func:`resolve` is tested against.
+:func:`_walk` runs it as a depth-first search that continues in place past
+each branch point; strands that no crossing touches close at once as parts
+of size 1.  The generator :func:`_first_unders` runs it plainly, yielding
+each bad crossing as the walk reaches it; :func:`label_only` reads all of
+it, and :func:`resolution_tree` still re-walks each node from the basepoint
+up to the first bad crossing.  Labels persist into child diagrams, so the
+re-walk retraces the parent's path and makes no new decision before the
+branch point: the tree is the from-scratch reference that :func:`resolve`
+is tested against.
+
+The search costs a leaf per descending diagram, exponentially many in the
+word length.  Flip and delete are the relation sigma_i = A*sigma_i^-1 + B,
+which is T_i^2 = B*T_i + A in the Hecke algebra H_n, and the resolution
+agrees with a linear functional on H_n: on every word the tests try, at
+every basepoint, it equals the element the word multiplies out to, dotted
+with the resolutions of the basis elements T_w.  So on up to
+:data:`_HECKE_MAX_STRANDS` strands :func:`resolve` multiplies the word out
+letter by letter, each step costing the element's support rather than a
+leaf per diagram, and reads each resolve(T_w) from a table that the search
+fills once, on a reduced positive word of w.  The table holds n*n! entries
+per strand count, 719 through five strands; a sixth strand alone would add
+4320, and a product step there touches 360 pairs per letter, so wider
+words keep the search.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 from typing import Iterator, NamedTuple
 
 from .skein import A, A_INV, B, NEG_A_INV_B, LaurentAB, SkeinVector
-from .words import BraidWord, Letter, WordError, cycle_type, permutation
+from .words import BraidWord, Letter, WordError, cycle_type, partitions_of, permutation
 
 
 class Label(enum.Enum):
@@ -102,24 +117,15 @@ def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
             for l in word.letters}
 
 
-# -- fast engine ----------------------------------------------------------------
+# -- depth-first walk ---------------------------------------------------------
 
 _UNSEEN, _GOOD, _GONE = 0, 1, 2
 
 
-def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
-    """Resolve the closure into its combination of unlink patterns.
-
-    The result never depends on crossing ids.  It can depend on the
-    basepoint: walks started elsewhere meet the crossings in a different
-    order and expand the same closure along different descending diagrams.
-    The default basepoint is strand 1, and all invariance statements in
-    this package are about that choice.  What every basepoint shares is the
-    framed-link polynomial obtained through the bridge module.
-    """
+def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
+    """The resolution as {partition: {(A exponent, B exponent): coeff}},
+    by a depth-first search that continues in place past each branch point."""
     n = word.strand_count
-    _check_basepoint(word, basepoint)
-
     indices = tuple(l.index for l in word.letters)
     positive = tuple(l.sign > 0 for l in word.letters)
     length = len(indices)
@@ -129,7 +135,7 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
     touched = [p for p in range(1, n + 1) if first[p] < end]
     idle = (1,) * (n - len(touched))
     if not touched:
-        return SkeinVector(n, {idle: LaurentAB.one()})
+        return {idle: {(0, 0): 1}}
     rank = {p: r for r, p in enumerate(touched)}
     full_mask = (1 << len(touched)) - 1
     if basepoint not in rank:
@@ -186,13 +192,149 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
         exps = (aexp, bexp)
         bucket = totals.setdefault(key, {})
         bucket[exps] = bucket.get(exps, 0) + csign
+    return totals
 
-    return SkeinVector(n, {key: LaurentAB(terms) for key, terms in totals.items()})
+
+# -- Hecke product ----------------------------------------------------------------
+#
+# A coefficient in Z[A^+-1, B] is a dict {a * _B_SPAN + b: c} for
+# c*A^a*B^b.  B's exponent stays below the word length plus ten, far below
+# _B_SPAN, so each key names one monomial, and multiplying by a monomial
+# adds a constant to every key.
+
+_HECKE_MAX_STRANDS = 5
+_B_SPAN = 1 << 40
+_GROUPS: dict[int, tuple] = {}
+# (n, basepoint) -> per permutation index, None until first read, else the
+# flat (partition index, monomial key, coeff) terms of resolve(T_w)
+_TABLES: dict[tuple[int, int], list[tuple[int, ...] | None]] = {}
+
+
+def _group(n: int):
+    """The permutations of n; for each generator i, the pairs (w, w*s_i) of
+    their indices with w(i) < w(i+1); and the partitions of n."""
+    found = _GROUPS.get(n)
+    if found is None:
+        perms = list(itertools.permutations(range(n)))
+        index = {w: k for k, w in enumerate(perms)}
+        pairs = [[(k, index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]])
+                  for k, w in enumerate(perms) if w[i] < w[i + 1]]
+                 for i in range(n - 1)]
+        found = _GROUPS[n] = perms, pairs, partitions_of(n)
+    return found
+
+
+def _add_shifted(into: dict[int, int], terms: dict[int, int], shift: int, sign: int):
+    """into += sign * (monomial with key ``shift``) * terms, dropping zeros."""
+    for k, c in terms.items():
+        k += shift
+        c = into.get(k, 0) + sign * c
+        if c:
+            into[k] = c
+        else:
+            del into[k]
+
+
+def _hecke_product(word: BraidWord) -> list[dict[int, int]]:
+    """The word as an element of H_n: its coefficient on each T_w, by
+    permutation index."""
+    perms, pairs, _ = _group(word.strand_count)
+    element: list[dict[int, int]] = [{} for _ in perms]
+    element[0][0] = 1  # T of the identity
+    for letter in word.letters:
+        for lo, hi in pairs[letter.index - 1]:
+            p, q = element[lo], element[hi]
+            if not (p or q):
+                continue
+            if letter.sign > 0:
+                # T_lo*T_i = T_hi and T_hi*T_i = B*T_hi + A*T_lo
+                element[lo] = {k + _B_SPAN: c for k, c in q.items()}
+                _add_shifted(p, q, 1, 1)
+                element[hi] = p
+            else:
+                # T_lo*T_i^-1 = A^-1*T_hi - A^-1*B*T_lo and T_hi*T_i^-1 = T_lo
+                element[hi] = {k - _B_SPAN: c for k, c in p.items()}
+                _add_shifted(q, p, 1 - _B_SPAN, -1)
+                element[lo] = q
+    return element
+
+
+def _reduced_word(w: tuple[int, ...]) -> list[int]:
+    """A reduced positive word for w: peel descents off the right."""
+    current, letters = list(w), []
+    i = 0
+    while i < len(current) - 1:
+        if current[i] > current[i + 1]:
+            current[i], current[i + 1] = current[i + 1], current[i]
+            letters.append(i + 1)
+            i = max(i - 1, 0)
+        else:
+            i += 1
+    return letters[::-1]
+
+
+def _dot(element: list[dict[int, int]], n: int, basepoint: int) -> SkeinVector:
+    """resolve of an element of H_n, from the table of resolve(T_w)."""
+    perms, _, parts_list = _group(n)
+    table = _TABLES.get((n, basepoint))
+    if table is None:
+        table = _TABLES[n, basepoint] = [None] * len(perms)
+    totals: list[dict[int, int]] = [{} for _ in parts_list]
+    for w, coeff in enumerate(element):
+        if not coeff:
+            continue
+        entry = table[w]
+        if entry is None:
+            where = {parts: k for k, parts in enumerate(parts_list)}
+            walked = _walk(BraidWord.from_signed(n, _reduced_word(perms[w])), basepoint)
+            entry = table[w] = tuple(x for parts, terms in walked.items()
+                                     for (a, b), c in terms.items() if c
+                                     for x in (where[parts], a * _B_SPAN + b, c))
+        it = iter(entry)
+        for p, shift, c in zip(it, it, it):
+            out = totals[p]
+            for k, d in coeff.items():
+                k += shift
+                out[k] = out.get(k, 0) + c * d
+    return SkeinVector(n, {
+        parts: LaurentAB({divmod(k, _B_SPAN): c for k, c in out.items()})
+        for parts, out in zip(parts_list, totals) if out})
+
+
+# -- entry points ------------------------------------------------------------------
+
+
+def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
+    """Resolve the closure into its combination of unlink patterns.
+
+    The result never depends on crossing ids.  It can depend on the
+    basepoint: walks started elsewhere meet the crossings in a different
+    order and expand the same closure along different descending diagrams.
+    The default basepoint is strand 1, and all invariance statements in
+    this package are about that choice.  What every basepoint shares is the
+    framed-link polynomial obtained through the bridge module.
+
+    On one to five strands the word is multiplied out in the Hecke algebra
+    and dotted with the table of basis resolutions, so the work grows
+    polynomially with the word length; on six or more it runs the
+    depth-first search, whose work grows exponentially with it, because the
+    table would have n*n! entries (see the module docstring).
+    """
+    _check_basepoint(word, basepoint)
+    n = word.strand_count
+    if n <= _HECKE_MAX_STRANDS:
+        return _dot(_hecke_product(word), n, basepoint)
+    terms = _walk(word, basepoint)
+    return SkeinVector(n, {key: LaurentAB(t) for key, t in terms.items()})
 
 
 def compare_basepoints(word: BraidWord) -> dict[int, SkeinVector]:
     """Resolution from every basepoint, for inspecting how they differ."""
-    return {bp: resolve(word, bp) for bp in range(1, word.strand_count + 1)}
+    n = word.strand_count
+    if n <= _HECKE_MAX_STRANDS:
+        element = _hecke_product(word)
+        return {bp: _dot(element, n, bp) for bp in range(1, n + 1)}
+    return {bp: resolve(word, bp) for bp in range(1, n + 1)}
 
 
 # -- explicit tree ----------------------------------------------------------------

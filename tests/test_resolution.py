@@ -5,8 +5,11 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidskein import resolution
+from braidskein.homfly import homfly_oracle, to_homfly
 from braidskein.resolution import (
     Label,
+    _walk,
     compare_basepoints,
     label_only,
     leaf_count,
@@ -15,7 +18,14 @@ from braidskein.resolution import (
     tree_vector,
 )
 from braidskein.skein import A, A_INV, B, LaurentAB, SkeinVector
-from braidskein.words import BraidWord, WordError, parse_word, partitions_of, basis_braid
+from braidskein.words import (
+    BraidWord,
+    WordError,
+    basis_braid,
+    parse_word,
+    partitions_of,
+    signed_words,
+)
 
 from test_words import words
 
@@ -184,6 +194,63 @@ def test_resolve_id_independent(w):
         tuple(l._replace(crossing_id=990 - 7 * k) for k, l in enumerate(w.letters)),
     )
     assert resolve(relabeled) == resolve(w)
+
+
+# -- Hecke product against the search ------------------------------------------
+#
+# On up to five strands resolve multiplies the word out in the Hecke algebra
+# and reads resolve(T_w) from a table; the depth-first search fills that
+# table and resolves everything wider.  Both must give the same vector on
+# every word, at every basepoint.
+
+
+def test_hecke_path_equals_the_search_exhaustively():
+    cases, wrong = 0, []
+    for n, max_len in ((1, 0), (2, 7), (3, 7), (4, 5)):
+        for signed in signed_words(n, max_len):
+            word = BraidWord.from_signed(n, signed)
+            for bp, vector in compare_basepoints(word).items():
+                got = {parts: poly.terms() for parts, poly in vector.entries().items()}
+                want = {parts: nonzero for parts, terms in _walk(word, bp).items()
+                        if (nonzero := {e: c for e, c in terms.items() if c})}
+                if got != want:
+                    wrong.append((word.format(), bp))
+                cases += 1
+    assert cases == 1 + 2 * 255 + 3 * 21845 + 4 * 9331
+    assert wrong == []
+
+
+@given(gapped_words(max_strands=5, max_len=16), st.integers(1, 5))
+@settings(deadline=None)
+def test_hecke_path_matches_the_tree(w, bp):
+    bp = 1 + (bp - 1) % w.strand_count
+    assert resolve(w, bp) == tree_vector(resolution_tree(w, bp))
+
+
+@st.composite
+def oracle_words(draw):
+    n = draw(st.integers(3, 5))
+    signed = draw(st.lists(st.integers(1, n - 1).flatmap(lambda i: st.sampled_from([i, -i])),
+                           min_size=10, max_size=14))
+    return BraidWord.from_signed(n, signed)
+
+
+@given(oracle_words())
+@settings(deadline=None, max_examples=40)
+def test_hecke_path_matches_the_oracle(w):
+    # the oracle shares nothing with the search that fills the table
+    assert to_homfly(resolve(w)) == homfly_oracle(w)
+
+
+def test_hecke_path_covers_one_to_five_strands():
+    # six and seven strands run the search and leave no table behind
+    for n in range(1, 8):
+        signed = [(-1) ** k * (1 + k % (n - 1)) for k in range(12)] if n > 1 else []
+        w = BraidWord.from_signed(n, signed)
+        for bp in range(1, n + 1):
+            assert resolve(w, bp) == tree_vector(resolution_tree(w, bp))
+        assert compare_basepoints(w)[n] == resolve(w, n)
+    assert {n for n, _ in resolution._TABLES} == {1, 2, 3, 4, 5}
 
 
 # -- tree ------------------------------------------------------------------------
