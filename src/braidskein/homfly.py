@@ -45,21 +45,31 @@ def to_homfly(vector: SkeinVector) -> HomflyPoly:
     """Evaluate a resolution vector as a polynomial in l and m.
 
     Substituted entries are summed per component count k first, and each
-    sum P_k is multiplied by DELTA^(k-1), built term by term from the
-    binomial theorem, so the bridge costs sum_k |P_k| * k term products.
+    sum P_k is multiplied by DELTA^(k-1), whose terms come from the
+    binomial theorem, into one term map, so the bridge costs
+    sum_k |P_k| * k term products and builds one polynomial.
     """
     by_count: dict[int, dict[tuple[int, int], int]] = {}
     for parts, poly in vector.entries().items():
         subbed = by_count.setdefault(len(parts), {})
         for (a, b), c in poly.terms().items():
             # c*A^a*B^b becomes c*(-1)^(a+b) * l^(-2a-b) * m^b
-            sign = -1 if (a + b) % 2 else 1
             key = (-2 * a - b, b)
-            subbed[key] = subbed.get(key, 0) + sign * c
-    total = HomflyPoly.zero()
+            subbed[key] = subbed.get(key, 0) + (-c if (a + b) % 2 else c)
+    # DELTA^(k-1) = sum_j C(k-1, j) * x^j * y^(k-1-j) over DELTA's terms x, y
+    ((xl, xm), cx), *rest = DELTA.terms().items()
+    (((yl, ym), cy),) = rest or [((0, 0), 0)]  # a monomial DELTA has y = 0
+    out: dict[tuple[int, int], int] = {}
     for k, subbed in by_count.items():
-        total = total + HomflyPoly(subbed) * _delta_power(k - 1)
-    return total
+        for j, binomial in enumerate(_binomials(k - 1)):
+            d = binomial * cx**j * cy**(k - 1 - j)
+            if not d:
+                continue
+            dl, dm = j * xl + (k - 1 - j) * yl, j * xm + (k - 1 - j) * ym
+            for (le, me), c in subbed.items():
+                key = (le + dl, me + dm)
+                out[key] = out.get(key, 0) + c * d
+    return HomflyPoly(out)
 
 
 def _binomials(k: int) -> list[int]:
@@ -68,14 +78,6 @@ def _binomials(k: int) -> list[int]:
     for j in range(k):
         row.append(row[-1] * (k - j) // (j + 1))
     return row
-
-
-def _delta_power(k: int) -> HomflyPoly:
-    """DELTA^k = sum_j C(k, j) * x^j * y^(k-j) over DELTA's terms x and y."""
-    ((xl, xm), cx), *rest = DELTA.terms().items()
-    (((yl, ym), cy),) = rest or [((0, 0), 0)]  # a monomial DELTA has y = 0
-    return HomflyPoly({(j * xl + (k - j) * yl, j * xm + (k - j) * ym): b * cx**j * cy**(k - j)
-                       for j, b in enumerate(_binomials(k))})
 
 
 # -- independent oracle -------------------------------------------------------------

@@ -21,7 +21,8 @@ it, and :func:`resolution_tree` still re-walks each node from the basepoint
 up to the first bad crossing.  Labels persist into child diagrams, so the
 re-walk retraces the parent's path and makes no new decision before the
 branch point: the tree is the from-scratch reference that :func:`resolve`
-is tested against.
+is tested against.  It keeps every node's word, so it stops at a budget of
+letters (:data:`_TREE_LETTER_BUDGET`).
 
 The search costs a leaf per descending diagram, exponentially many in the
 word length.  Flip and delete are the relation sigma_i = A*sigma_i^-1 + B,
@@ -363,17 +364,37 @@ class ResolutionNode(NamedTuple):
         return cycle_type(permutation(self.word))
 
 
+# letters that the node words of one tree may hold between them: the tree
+# of 2: -1 x21 (28,657 leaves) holds 689,587, that of x22 1,167,051
+_TREE_LETTER_BUDGET = 1_000_000
+
+
+class TreeBudgetError(ValueError):
+    """A resolution tree would hold more letters than its budget."""
+
+
 def resolution_tree(word: BraidWord, basepoint: int = 1) -> ResolutionNode:
     """Materialize the full branching as a tree of diagrams.
 
     Unlike :func:`resolve`, every node re-runs the walk from the original
     basepoint on its own word; the good crossings it inherits make the
     replay deterministic.  The tree always sums to the resolve() vector.
+    The tree grows exponentially with the word length, so once its node
+    words hold more than :data:`_TREE_LETTER_BUDGET` letters in all, it
+    raises :class:`TreeBudgetError`.
     """
     _check_basepoint(word, basepoint)
+    spent = 0
 
     def build(current: BraidWord, seen: set[int],
               edge: LaurentAB | None) -> ResolutionNode:
+        nonlocal spent
+        spent += len(current.letters)
+        if spent > _TREE_LETTER_BUDGET:
+            raise TreeBudgetError(
+                f"resolution tree exceeds its budget of {_TREE_LETTER_BUDGET:,} "
+                f"letters in node words"
+            )
         hit = next(_first_unders(current, basepoint, seen), None)
         good = frozenset(seen)
         if hit is None:

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from .words import is_partition_of
-
 
 class RingDomainError(ValueError):
     """A coefficient left the ring, e.g. a negative exponent on B."""
@@ -37,7 +35,9 @@ class Laurent:
     _one_key = (0, 0)
 
     def __init__(self, terms: Mapping = ()):
-        self._terms = {key: c for key, c in dict(terms).items() if c}
+        if type(terms) is not dict:
+            terms = dict(terms)  # any mapping, or (key, coeff) pairs
+        self._terms = {key: c for key, c in terms.items() if c}
 
     @classmethod
     def monomial(cls, coeff: int, e1: int = 0, e2: int = 0):
@@ -149,10 +149,15 @@ class LaurentAB(Laurent):
     _variables = ("A", "B")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
-        Laurent.__init__(self, terms)
-        for _, b in self._terms:
-            if b < 0:
-                raise RingDomainError(f"negative exponent {b} on B")
+        if type(terms) is not dict:
+            terms = dict(terms)
+        clean = {}
+        for key, c in terms.items():
+            if c:
+                if key[1] < 0:
+                    raise RingDomainError(f"negative exponent {key[1]} on B")
+                clean[key] = c
+        self._terms = clean
 
     @staticmethod
     def _term_order(term):
@@ -181,12 +186,17 @@ class SkeinVector:
     __slots__ = ("strand_count", "_entries")
 
     def __init__(self, strand_count: int, entries: Mapping[tuple[int, ...], LaurentAB] = ()):
+        if type(entries) is not dict:
+            entries = dict(entries)
         clean: dict[tuple[int, ...], LaurentAB] = {}
-        for parts, poly in sorted(dict(entries).items(), reverse=True):
-            if not is_partition_of(parts, strand_count):
+        for parts in sorted(entries, reverse=True):
+            # non-increasing, positive and summing to strand_count
+            if (sum(parts) != strand_count or sorted(parts, reverse=True) != [*parts]
+                    or (parts and parts[-1] < 1)):
                 raise DimensionError(
                     f"{parts} is not a partition of {strand_count}"
                 )
+            poly = entries[parts]
             if poly:
                 clean[parts] = poly
         self.strand_count = strand_count

@@ -234,6 +234,7 @@ def test_selftest_quick_json(capsys):
     ("mfw", "2: 0"),
     ("resolve", "3: 1 \u0662"),
     ("exchange-search", "--max-len", "-1"),
+    ("tree", "2:" + " -1" * 300),  # over the tree's letter budget
 ])
 def test_bad_inputs_exit_two(capsys, argv):
     assert run(capsys, *argv)[0] == 2
@@ -258,8 +259,12 @@ def test_overlong_letter_token_is_usage_error(capsys):
     assert err.startswith("error: bad letter token")
 
 
-def test_internal_error_exits_three(capsys):
-    code, out, err = run(capsys, "tree", "2:" + " -1" * 2100)
+def test_internal_error_exits_three(capsys, monkeypatch):
+    def overflow(word, basepoint):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "resolution_tree", overflow)
+    code, out, err = run(capsys, "tree", "2: 1")
     assert code == 3
     assert out == ""
     assert err.startswith("internal error: RecursionError")

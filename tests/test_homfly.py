@@ -6,7 +6,7 @@ from itertools import accumulate
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidskein.homfly import (
     DELTA,
@@ -141,7 +141,24 @@ skein_vectors = st.integers(1, 9).flatmap(lambda n: st.dictionaries(
     st.sampled_from(partitions_of(n)), polys, max_size=5).map(lambda d: SkeinVector(n, d)))
 
 
-@given(skein_vectors)
+def _cancelling(n: int):
+    """Vectors with two entries of one part count whose images cancel."""
+    pairs = [(p, q) for p in partitions_of(n) for q in partitions_of(n)
+             if p > q and len(p) == len(q)]
+    return st.tuples(st.sampled_from(pairs), polys, polys).map(
+        lambda t: SkeinVector(n, {t[0][0]: t[1], t[0][1]: -t[1]})
+        + SkeinVector(n, {t[0][1]: t[2]}))
+
+
+cancelling_vectors = st.integers(4, 9).flatmap(_cancelling)
+# one partition of up to 60 parts, on up to 180 strands
+wide_vectors = st.tuples(st.lists(st.integers(1, 3), min_size=1, max_size=60), polys).map(
+    lambda t: SkeinVector(sum(t[0]), {tuple(sorted(t[0], reverse=True)): t[1]}))
+
+
+# the images of (3) and (2,1) cancel: (A - 1) + B*DELTA = 0
+@example(SkeinVector(3, {(3,): A - LaurentAB.one(), (2, 1): B}))
+@given(st.one_of(skein_vectors, cancelling_vectors, wide_vectors))
 def test_bridge_matches_horner_rule(vector):
     assert to_homfly(vector) == horner_bridge(vector)
 

@@ -9,6 +9,7 @@ from braidskein import resolution
 from braidskein.homfly import homfly_oracle, to_homfly
 from braidskein.resolution import (
     Label,
+    TreeBudgetError,
     _walk,
     compare_basepoints,
     label_only,
@@ -279,6 +280,20 @@ def test_leaves_are_fully_labeled():
             check(child)
 
     check(resolution_tree(parse_word("3: 1 1 2 -1 2")))
+
+
+def test_tree_stops_at_its_letter_budget(monkeypatch):
+    w = parse_word("2: -1 -1 -1 -1 -1 -1")
+    stack, held = [resolution_tree(w)], 0
+    while stack:
+        node = stack.pop()
+        held += len(node.word.letters)
+        stack.extend(node.children)
+    monkeypatch.setattr(resolution, "_TREE_LETTER_BUDGET", held)
+    assert tree_vector(resolution_tree(w)) == resolve(w)
+    monkeypatch.setattr(resolution, "_TREE_LETTER_BUDGET", held - 1)
+    with pytest.raises(TreeBudgetError, match=f"budget of {held - 1} letters"):
+        resolution_tree(w)
 
 
 @given(words(max_strands=4, max_len=7))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -35,6 +37,11 @@ def test_constants():
 def test_negative_b_exponent_rejected():
     with pytest.raises(RingDomainError):
         LaurentAB.monomial(1, 0, -1)
+    for terms in ({(0, 0): 1, (2, -3): 4}, [((0, 0), 1), ((2, -3), 4)]):
+        with pytest.raises(RingDomainError, match=r"^negative exponent -3 on B$"):
+            LaurentAB(terms)
+    # a zero coefficient is dropped before its B exponent is read
+    assert LaurentAB({(2, -3): 0}) == LaurentAB.zero()
 
 
 def test_terms_as_pairs_check_the_b_exponent():
@@ -89,8 +96,13 @@ def test_partition_str():
 def test_vector_rejects_bad_partition():
     with pytest.raises(DimensionError):
         SkeinVector(2, {(3,): A})
-    with pytest.raises(DimensionError):
-        SkeinVector(3, {(1, 2): A})
+    # unsorted, a zero part, a wrong sum either way, a negative part
+    for parts in [(1, 2), (3, 0), (2, 2), (1,), (2, 2, -1)]:
+        message = "^" + re.escape(f"{parts} is not a partition of 3") + "$"
+        with pytest.raises(DimensionError, match=message):
+            SkeinVector(3, {(3,): A, parts: B})
+        with pytest.raises(DimensionError, match=message):
+            SkeinVector(3, [(parts, LaurentAB.zero())])  # a zero entry's key is checked too
 
 
 def test_vector_drops_zero_entries():
