@@ -41,7 +41,7 @@ _EXPORTS = {
     ),
     "words": (
         "BraidWord", "Letter", "MoveError", "WordError", "basis_braid", "cycle_type",
-        "is_partition_of", "parse_word", "partitions_of", "permutation",
+        "parse_word", "partitions_of", "permutation",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

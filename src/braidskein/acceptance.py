@@ -119,32 +119,27 @@ def criterion_2(max_n: int = 6) -> tuple[bool, str]:
 @_criterion(3, "move-invariance", max_len=4)
 def criterion_3(max_len: int = 7) -> tuple[bool, str]:
     """Three-strand move invariance, exhaustive up to max_len letters."""
-    cache: dict[tuple[int, ...], SkeinVector] = {}
-
-    def cached(word: BraidWord) -> SkeinVector:
-        key = word.signed_indices()
-        found = cache.get(key)
-        if found is None:
-            found = cache[key] = resolve(word)
-        return found
+    @functools.cache
+    def resolved(signed: tuple[int, ...]) -> SkeinVector:
+        return resolve(BraidWord.from_signed(3, signed))
 
     words = failures = 0
     for signed in signed_words(3, max_len):
         word = BraidWord.from_signed(3, signed)
-        base = cached(word)
+        base = resolved(signed)
         words += 1
         reduced = word.free_reduce()
         if len(reduced.letters) != len(word.letters) and resolve(reduced) != base:
             failures += 1
         for k in range(1, len(signed)):
-            if cached(word.cyclic_rotate(k)) != base:
+            if resolved(word.cyclic_rotate(k).signed_indices()) != base:
                 failures += 1
         for position in range(len(signed)):
             try:
                 rewritten = word.apply_braid_relation_at(position)
             except MoveError:
                 continue
-            if cached(rewritten) != base:
+            if resolved(rewritten.signed_indices()) != base:
                 failures += 1
     detail = f"{words} words (len<={max_len}), {failures} move-invariance failures"
     return failures == 0, detail

@@ -14,15 +14,15 @@ descending; each leaf closes to the unlink pattern named by its cycle type.
 The walk is stated twice, and both statements follow successor links
 (:func:`_links`), so a pass costs the rows it crosses, not the whole word.
 :func:`_walk` runs it as a depth-first search that continues in place past
-each branch point; strands that no crossing touches close at once as parts
-of size 1.  The generator :func:`_first_unders` runs it plainly, yielding
-each bad crossing as the walk reaches it; :func:`label_only` reads all of
-it, and :func:`resolution_tree` still re-walks each node from the basepoint
-up to the first bad crossing.  Labels persist into child diagrams, so the
-re-walk retraces the parent's path and makes no new decision before the
-branch point: the tree is the from-scratch reference that :func:`resolve`
-is tested against.  It keeps every node's word, so it stops at a budget of
-letters (:data:`_TREE_LETTER_BUDGET`).
+each branch point, carrying each path's monomial as one key; strands that
+no crossing touches close at once as parts of size 1.  The generator
+:func:`_first_unders` runs it plainly, yielding each bad crossing as the
+walk reaches it; :func:`label_only` reads all of it, and
+:func:`resolution_tree` runs it from scratch on each node up to the node's
+first bad crossing, retracing the parent's path to the branch crossing:
+the tree is the reference that :func:`resolve` is tested against.  Both
+stop at a budget: the search at :data:`_LEAF_BUDGET` leaves, and the tree,
+which keeps every node's word, at :data:`_TREE_LETTER_BUDGET` letters.
 
 The search costs a leaf per descending diagram, exponentially many in the
 word length.  Flip and delete are the relation sigma_i = A*sigma_i^-1 + B,
@@ -42,6 +42,7 @@ words keep the search.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 from typing import Iterator, NamedTuple
 
@@ -84,10 +85,10 @@ def _first_unders(word: BraidWord, basepoint: int, seen: set[int]) -> Iterator[L
     """Walk the whole closure and yield each crossing first met on its
     under-strand, before crossing it.
 
-    Crossings in ``seen`` are crossed without a decision.  A crossing met
-    on its over-strand joins ``seen`` at once, a yielded one when the walk
-    resumes.  Each time a component closes, the walk restarts at the
-    smallest strand position not yet walked.
+    ``seen`` starts empty and records the crossings met so far: one met on
+    its over-strand joins it at once, a yielded one when the walk resumes.
+    Each time a component closes, the walk restarts at the smallest strand
+    position not yet walked.
     """
     letters = word.letters
     end = 2 * len(letters)
@@ -119,13 +120,34 @@ def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
 
 
 # -- depth-first walk ---------------------------------------------------------
+#
+# Both engines key a coefficient c*A^a*B^b of Z[A^+-1, B] as a * _B_SPAN + b.
+# B's exponent stays below the word length plus ten, far below _B_SPAN, so
+# each key names one monomial, multiplying by a monomial adds a constant to
+# every key, and divmod(key, _B_SPAN) gives back (a, b).
 
+_B_SPAN = 1 << 40
 _UNSEEN, _GOOD, _GONE = 0, 1, 2
+# leaves that one search may pop: 50,000 random six-strand words of 18-21
+# letters reached at most 52,712; at about 6 us a leaf this takes 7 s
+_LEAF_BUDGET = 1_200_000
+# letters that the node words of one tree may hold between them: the tree
+# of 2: -1 x21 (28,657 leaves) holds 689,587, that of x22 1,167,051
+_TREE_LETTER_BUDGET = 1_000_000
 
 
-def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
-    """The resolution as {partition: {(A exponent, B exponent): coeff}},
-    by a depth-first search that continues in place past each branch point."""
+class BudgetError(ValueError):
+    """A resolution would take more work than its budget allows."""
+
+
+def _laurent(terms: dict[int, int]) -> LaurentAB:
+    return LaurentAB({divmod(k, _B_SPAN): c for k, c in terms.items()})
+
+
+def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """The resolution as {partition: {monomial key: coeff}}, by a
+    depth-first search that continues in place past each branch point.
+    Past :data:`_LEAF_BUDGET` leaves it raises :class:`BudgetError`."""
     n = word.strand_count
     indices = tuple(l.index for l in word.letters)
     positive = tuple(l.sign > 0 for l in word.letters)
@@ -136,21 +158,25 @@ def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[tuple[i
     touched = [p for p in range(1, n + 1) if first[p] < end]
     idle = (1,) * (n - len(touched))
     if not touched:
-        return {idle: {(0, 0): 1}}
+        return {idle: {0: 1}}
     rank = {p: r for r, p in enumerate(touched)}
     full_mask = (1 << len(touched)) - 1
     if basepoint not in rank:
         basepoint = touched[0]
 
-    totals: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    totals: dict[tuple[int, ...], dict[int, int]] = {}
 
     # node: link, component start, walked-top rank bitmask, size of the open
-    # component, closed sizes as a linked list, path sign, A exponent,
-    # B exponent, crossing states
-    stack = [(first[basepoint], basepoint, 1 << rank[basepoint], 1, (), 1, 0, 0,
+    # component, closed sizes as a linked list, path sign, monomial key,
+    # crossing states
+    stack = [(first[basepoint], basepoint, 1 << rank[basepoint], 1, (), 1, 0,
               bytearray(length))]
+    leaves = 0
     while stack:
-        link, start, done, size, sizes, csign, aexp, bexp, state = stack.pop()
+        leaves += 1
+        if leaves > _LEAF_BUDGET:
+            raise BudgetError(f"resolution exceeds its budget of {_LEAF_BUDGET:,} leaves")
+        link, start, done, size, sizes, csign, key, state = stack.pop()
         while True:
             while link < end:
                 row = link >> 1
@@ -164,11 +190,11 @@ def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[tuple[i
                         child = bytearray(state)
                         child[row] = _GONE
                         if positive[row]:
-                            delete = (csign, aexp, bexp + 1)
-                            aexp += 1
+                            delete = (csign, key + 1)
+                            key += _B_SPAN
                         else:
-                            delete = (-csign, aexp - 1, bexp + 1)
-                            aexp -= 1
+                            delete = (-csign, key + 1 - _B_SPAN)
+                            key -= _B_SPAN
                         stack.append((after[link], start, done, size, sizes, *delete, child))
                     state[row] = _GOOD
                     link = after[link ^ 1]
@@ -189,40 +215,31 @@ def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[tuple[i
         while sizes:
             size, sizes = sizes
             flat.append(size)
-        key = tuple(sorted(flat, reverse=True)) + idle
-        exps = (aexp, bexp)
-        bucket = totals.setdefault(key, {})
-        bucket[exps] = bucket.get(exps, 0) + csign
+        bucket = totals.setdefault(tuple(sorted(flat, reverse=True)) + idle, {})
+        bucket[key] = bucket.get(key, 0) + csign
     return totals
 
 
 # -- Hecke product ----------------------------------------------------------------
-#
-# A coefficient in Z[A^+-1, B] is a dict {a * _B_SPAN + b: c} for
-# c*A^a*B^b.  B's exponent stays below the word length plus ten, far below
-# _B_SPAN, so each key names one monomial, and multiplying by a monomial
-# adds a constant to every key.
 
 _HECKE_MAX_STRANDS = 5
-_B_SPAN = 1 << 40
-_GROUPS: dict[int, tuple] = {}
 # (n, basepoint) -> per permutation index, None until first read, else the
 # flat (partition index, monomial key, coeff) terms of resolve(T_w)
 _TABLES: dict[tuple[int, int], list[tuple[int, ...] | None]] = {}
 
 
+@functools.cache
 def _group(n: int):
     """The permutations of n; for each generator i, the pairs (w, w*s_i) of
-    their indices with w(i) < w(i+1); and the partitions of n."""
-    found = _GROUPS.get(n)
-    if found is None:
-        perms = list(itertools.permutations(range(n)))
-        index = {w: k for k, w in enumerate(perms)}
-        pairs = [[(k, index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]])
-                  for k, w in enumerate(perms) if w[i] < w[i + 1]]
-                 for i in range(n - 1)]
-        found = _GROUPS[n] = perms, pairs, partitions_of(n)
-    return found
+    their indices with w(i) < w(i+1); the partitions of n, and the index of
+    each partition."""
+    perms = list(itertools.permutations(range(n)))
+    index = {w: k for k, w in enumerate(perms)}
+    pairs = [[(k, index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]])
+              for k, w in enumerate(perms) if w[i] < w[i + 1]]
+             for i in range(n - 1)]
+    parts_list = partitions_of(n)
+    return perms, pairs, parts_list, {parts: k for k, parts in enumerate(parts_list)}
 
 
 def _add_shifted(into: dict[int, int], terms: dict[int, int], shift: int, sign: int):
@@ -239,7 +256,7 @@ def _add_shifted(into: dict[int, int], terms: dict[int, int], shift: int, sign: 
 def _hecke_product(word: BraidWord) -> list[dict[int, int]]:
     """The word as an element of H_n: its coefficient on each T_w, by
     permutation index."""
-    perms, pairs, _ = _group(word.strand_count)
+    perms, pairs, _, _ = _group(word.strand_count)
     element: list[dict[int, int]] = [{} for _ in perms]
     element[0][0] = 1  # T of the identity
     for letter in word.letters:
@@ -276,7 +293,7 @@ def _reduced_word(w: tuple[int, ...]) -> list[int]:
 
 def _dot(element: list[dict[int, int]], n: int, basepoint: int) -> SkeinVector:
     """resolve of an element of H_n, from the table of resolve(T_w)."""
-    perms, _, parts_list = _group(n)
+    perms, _, parts_list, where = _group(n)
     table = _TABLES.get((n, basepoint))
     if table is None:
         table = _TABLES[n, basepoint] = [None] * len(perms)
@@ -286,20 +303,17 @@ def _dot(element: list[dict[int, int]], n: int, basepoint: int) -> SkeinVector:
             continue
         entry = table[w]
         if entry is None:
-            where = {parts: k for k, parts in enumerate(parts_list)}
             walked = _walk(BraidWord.from_signed(n, _reduced_word(perms[w])), basepoint)
             entry = table[w] = tuple(x for parts, terms in walked.items()
-                                     for (a, b), c in terms.items() if c
-                                     for x in (where[parts], a * _B_SPAN + b, c))
+                                     for k, c in terms.items() if c
+                                     for x in (where[parts], k, c))
         it = iter(entry)
         for p, shift, c in zip(it, it, it):
             out = totals[p]
             for k, d in coeff.items():
                 k += shift
                 out[k] = out.get(k, 0) + c * d
-    return SkeinVector(n, {
-        parts: LaurentAB({divmod(k, _B_SPAN): c for k, c in out.items()})
-        for parts, out in zip(parts_list, totals) if out})
+    return SkeinVector(n, {parts: _laurent(out) for parts, out in zip(parts_list, totals) if out})
 
 
 # -- entry points ------------------------------------------------------------------
@@ -319,14 +333,14 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
     and dotted with the table of basis resolutions, so the work grows
     polynomially with the word length; on six or more it runs the
     depth-first search, whose work grows exponentially with it, because the
-    table would have n*n! entries (see the module docstring).
+    table would have n*n! entries (see the module docstring), and stops
+    with :class:`BudgetError` past :data:`_LEAF_BUDGET` leaves.
     """
     _check_basepoint(word, basepoint)
     n = word.strand_count
     if n <= _HECKE_MAX_STRANDS:
         return _dot(_hecke_product(word), n, basepoint)
-    terms = _walk(word, basepoint)
-    return SkeinVector(n, {key: LaurentAB(t) for key, t in terms.items()})
+    return SkeinVector(n, {parts: _laurent(terms) for parts, terms in _walk(word, basepoint).items()})
 
 
 def compare_basepoints(word: BraidWord) -> dict[int, SkeinVector]:
@@ -364,37 +378,28 @@ class ResolutionNode(NamedTuple):
         return cycle_type(permutation(self.word))
 
 
-# letters that the node words of one tree may hold between them: the tree
-# of 2: -1 x21 (28,657 leaves) holds 689,587, that of x22 1,167,051
-_TREE_LETTER_BUDGET = 1_000_000
-
-
-class TreeBudgetError(ValueError):
-    """A resolution tree would hold more letters than its budget."""
-
-
 def resolution_tree(word: BraidWord, basepoint: int = 1) -> ResolutionNode:
     """Materialize the full branching as a tree of diagrams.
 
-    Unlike :func:`resolve`, every node re-runs the walk from the original
-    basepoint on its own word; the good crossings it inherits make the
-    replay deterministic.  The tree always sums to the resolve() vector.
-    The tree grows exponentially with the word length, so once its node
-    words hold more than :data:`_TREE_LETTER_BUDGET` letters in all, it
-    raises :class:`TreeBudgetError`.
+    Unlike :func:`resolve`, every node runs the walk afresh from the
+    basepoint on its own word, and its ``good`` set is that walk's own
+    record.  The tree always sums to the resolve() vector.  The tree grows
+    exponentially with the word length, so once its node words hold more
+    than :data:`_TREE_LETTER_BUDGET` letters in all, it raises
+    :class:`BudgetError`.
     """
     _check_basepoint(word, basepoint)
     spent = 0
 
-    def build(current: BraidWord, seen: set[int],
-              edge: LaurentAB | None) -> ResolutionNode:
+    def build(current: BraidWord, edge: LaurentAB | None) -> ResolutionNode:
         nonlocal spent
         spent += len(current.letters)
         if spent > _TREE_LETTER_BUDGET:
-            raise TreeBudgetError(
+            raise BudgetError(
                 f"resolution tree exceeds its budget of {_TREE_LETTER_BUDGET:,} "
                 f"letters in node words"
             )
+        seen: set[int] = set()
         hit = next(_first_unders(current, basepoint, seen), None)
         good = frozenset(seen)
         if hit is None:
@@ -404,13 +409,12 @@ def resolution_tree(word: BraidWord, basepoint: int = 1) -> ResolutionNode:
         else:
             flip_edge, delete_edge = A_INV, NEG_A_INV_B
         children = (
-            build(current.change_crossing(hit.crossing_id), {*good, hit.crossing_id}, flip_edge),
-            # the walk stopped, so ``seen`` is free to seed the last child
-            build(current.delete_crossing(hit.crossing_id), seen, delete_edge),
+            build(current.change_crossing(hit.crossing_id), flip_edge),
+            build(current.delete_crossing(hit.crossing_id), delete_edge),
         )
         return ResolutionNode(current, edge, good, children)
 
-    return build(word, set(), None)
+    return build(word, None)
 
 
 def tree_vector(node: ResolutionNode) -> SkeinVector:

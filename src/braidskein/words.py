@@ -287,14 +287,6 @@ def partitions_of(n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def is_partition_of(parts: Sequence[int], n: int) -> bool:
-    return (
-        all(p >= 1 for p in parts)
-        and all(parts[i] >= parts[i + 1] for i in range(len(parts) - 1))
-        and sum(parts) == n
-    )
-
-
 def basis_braid(parts: Sequence[int]) -> BraidWord:
     """The basis braid of a partition: descending blocks side by side, on
     sum(parts) strands.

@@ -235,6 +235,9 @@ def test_selftest_quick_json(capsys):
     ("resolve", "3: 1 \u0662"),
     ("exchange-search", "--max-len", "-1"),
     ("tree", "2:" + " -1" * 300),  # over the tree's letter budget
+    # over the search's leaf budget
+    ("resolve", "6: -1 -3 -3 5 -5 -5 -4 5 5 5 1 -3 3 4 -5 -2 -1 -3 -2 5 -4 5 5 3 2 4 "
+                "-4 4 4 3 4 -3 -5 4 3 3 -4 5 -3 -2"),
 ])
 def test_bad_inputs_exit_two(capsys, argv):
     assert run(capsys, *argv)[0] == 2

@@ -8,8 +8,8 @@ from hypothesis import given, settings, strategies as st
 from braidskein import resolution
 from braidskein.homfly import homfly_oracle, to_homfly
 from braidskein.resolution import (
+    BudgetError,
     Label,
-    TreeBudgetError,
     _walk,
     compare_basepoints,
     label_only,
@@ -213,7 +213,8 @@ def test_hecke_path_equals_the_search_exhaustively():
             for bp, vector in compare_basepoints(word).items():
                 got = {parts: poly.terms() for parts, poly in vector.entries().items()}
                 want = {parts: nonzero for parts, terms in _walk(word, bp).items()
-                        if (nonzero := {e: c for e, c in terms.items() if c})}
+                        if (nonzero := {divmod(k, resolution._B_SPAN): c
+                                        for k, c in terms.items() if c})}
                 if got != want:
                     wrong.append((word.format(), bp))
                 cases += 1
@@ -254,6 +255,17 @@ def test_hecke_path_covers_one_to_five_strands():
     assert {n for n, _ in resolution._TABLES} == {1, 2, 3, 4, 5}
 
 
+def test_search_stops_at_its_leaf_budget(monkeypatch):
+    # six strands run the search, which pops a leaf per leaf of the tree
+    w = parse_word("6: -1 -2 -3 -4 -5 -1 -2 -3 -4 -5")
+    leaves = leaf_count(resolution_tree(w))
+    monkeypatch.setattr(resolution, "_LEAF_BUDGET", leaves)
+    assert resolve(w) == tree_vector(resolution_tree(w))
+    monkeypatch.setattr(resolution, "_LEAF_BUDGET", leaves - 1)
+    with pytest.raises(BudgetError, match=f"budget of {leaves - 1} leaves"):
+        resolve(w)
+
+
 # -- tree ------------------------------------------------------------------------
 
 
@@ -292,8 +304,20 @@ def test_tree_stops_at_its_letter_budget(monkeypatch):
     monkeypatch.setattr(resolution, "_TREE_LETTER_BUDGET", held)
     assert tree_vector(resolution_tree(w)) == resolve(w)
     monkeypatch.setattr(resolution, "_TREE_LETTER_BUDGET", held - 1)
-    with pytest.raises(TreeBudgetError, match=f"budget of {held - 1} letters"):
+    with pytest.raises(BudgetError, match=f"budget of {held - 1} letters"):
         resolution_tree(w)
+
+
+@given(words(max_strands=6, max_len=7))
+@settings(deadline=None)
+def test_every_subtree_is_the_tree_of_its_word(w):
+    # each node walks its own word from scratch, inheriting nothing
+    for bp in range(1, w.strand_count + 1):
+        stack = [resolution_tree(w, bp)]
+        while stack:
+            node = stack.pop()
+            assert resolution_tree(node.word, bp) == node._replace(edge=None)
+            stack.extend(node.children)
 
 
 @given(words(max_strands=4, max_len=7))
