@@ -39,14 +39,19 @@ class Letter(NamedTuple):
     crossing_id: int
 
 
-class BraidWord:
-    """An n-strand braid word.  Immutable; every move returns a new word."""
-
-    __slots__ = ("strand_count", "letters")
+class _Word(NamedTuple):
     strand_count: int
     letters: tuple[Letter, ...]
 
-    def __init__(self, strand_count: int, letters: tuple[Letter, ...]):
+
+class BraidWord(_Word):
+    """An immutable n-strand braid word.  Only the constructor (hence copy, pickle from protocol 2
+    and ``copy.replace``) checks it; a move derives its word by ``_replace``, unchecked."""
+
+    __slots__ = ()
+
+    def __new__(cls, strand_count: int, letters: Iterable[Letter]) -> BraidWord:
+        letters = tuple(letters)
         if strand_count < 1:
             raise WordError(f"strand count must be >= 1, got {strand_count}")
         seen_ids = set()
@@ -61,29 +66,10 @@ class BraidWord:
             if letter.crossing_id in seen_ids:
                 raise WordError(f"duplicate crossing id {letter.crossing_id}")
             seen_ids.add(letter.crossing_id)
-        object.__setattr__(self, "strand_count", strand_count)
-        object.__setattr__(self, "letters", letters)
+        return super().__new__(cls, strand_count, letters)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"BraidWord is immutable: cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"BraidWord is immutable: cannot delete {name!r}")
-
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, since __setattr__ refuses
-        return BraidWord, (self.strand_count, self.letters)
-
-    def __eq__(self, other):
-        if type(other) is not BraidWord:
-            return NotImplemented
-        return self.strand_count == other.strand_count and self.letters == other.letters
-
-    def __hash__(self) -> int:
-        return hash((self.strand_count, self.letters))
-
-    def __repr__(self) -> str:
-        return f"BraidWord(strand_count={self.strand_count!r}, letters={self.letters!r})"
+    def __replace__(self, /, **changes) -> BraidWord:
+        return type(self)(*self._replace(**changes))
 
     # -- construction ------------------------------------------------------
 
@@ -95,7 +81,7 @@ class BraidWord:
             if s == 0:
                 raise WordError("generator index 0 is not allowed")
             letters.append(Letter(abs(s), 1 if s > 0 else -1, k))
-        return BraidWord(strand_count, tuple(letters))
+        return BraidWord(strand_count, letters)
 
     # -- formatting --------------------------------------------------------
 
@@ -109,8 +95,7 @@ class BraidWord:
         body = " ".join(str(i) for i in self.signed_indices())
         return f"{self.strand_count}: {body}"
 
-    def __str__(self) -> str:
-        return self.format()
+    __str__ = format
 
     # -- simple queries ----------------------------------------------------
 
@@ -127,7 +112,7 @@ class BraidWord:
                 stack.pop()
             else:
                 stack.append(letter)
-        return BraidWord(self.strand_count, tuple(stack))
+        return self._replace(letters=tuple(stack))
 
     def apply_braid_relation_at(self, position: int) -> BraidWord:
         """Rewrite by the braid relation whose pattern starts at ``position``.
@@ -144,7 +129,7 @@ class BraidWord:
             x, y = ls[position], ls[position + 1]
             if abs(x.index - y.index) > 1:
                 swapped = ls[:position] + (y, x) + ls[position + 2:]
-                return BraidWord(self.strand_count, swapped)
+                return self._replace(letters=swapped)
         if position + 2 < len(ls):
             x, y, z = ls[position:position + 3]
             same_sign = x.sign == y.sign == z.sign
@@ -154,7 +139,7 @@ class BraidWord:
                     Letter(x.index, y.sign, y.crossing_id),
                     Letter(y.index, z.sign, z.crossing_id),
                 )
-                return BraidWord(self.strand_count, ls[:position] + new + ls[position + 3:])
+                return self._replace(letters=ls[:position] + new + ls[position + 3:])
         raise MoveError(f"no braid relation applies at position {position}")
 
     def cyclic_rotate(self, k: int) -> BraidWord:
@@ -162,7 +147,7 @@ class BraidWord:
         if not self.letters:
             return self
         k %= len(self.letters)
-        return BraidWord(self.strand_count, self.letters[k:] + self.letters[:k])
+        return self._replace(letters=self.letters[k:] + self.letters[:k])
 
     def change_crossing(self, crossing_id: int) -> BraidWord:
         """Flip the sign of one crossing, keeping its id."""
@@ -176,14 +161,14 @@ class BraidWord:
                 out.append(letter)
         if not found:
             raise MoveError(f"no crossing with id {crossing_id}")
-        return BraidWord(self.strand_count, tuple(out))
+        return self._replace(letters=tuple(out))
 
     def delete_crossing(self, crossing_id: int) -> BraidWord:
         """Remove one crossing (the oriented smoothing of the skein relation)."""
         out = tuple(l for l in self.letters if l.crossing_id != crossing_id)
         if len(out) == len(self.letters):
             raise MoveError(f"no crossing with id {crossing_id}")
-        return BraidWord(self.strand_count, out)
+        return self._replace(letters=out)
 
 
 _MAX_DIGITS = 4300  # the interpreter's default limit for text to int

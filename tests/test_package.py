@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from pathlib import Path
 import pytest
 
 import braidskein
-from braidskein.words import BraidWord, parse_word
+from braidskein.words import BraidWord, Letter, WordError, parse_word
 from test_cli_golden import WORD_COMMANDS
 
 PUBLIC = {
@@ -80,7 +81,20 @@ def test_braid_word_is_an_immutable_value():
         word.strand_count = 4
     with pytest.raises(AttributeError):
         del word.letters
-    assert copy.deepcopy(word) == word
+    with pytest.raises(AttributeError):
+        word.label = "x"
+    for again in (copy.copy(word), copy.deepcopy(word), pickle.loads(pickle.dumps(word))):
+        assert type(again) is BraidWord and again == word
+    with pytest.raises(WordError, match="generator index 5 out of range for 3 strands"):
+        word.__replace__(letters=(Letter(5, 1, 0),))
+
+
+@pytest.mark.skipif(not hasattr(copy, "replace"), reason="copy.replace arrived in Python 3.13")
+def test_copy_replace_checks_the_new_word():
+    word = parse_word("3: 1 -2 1")
+    assert copy.replace(word, strand_count=4) == BraidWord(4, word.letters)
+    with pytest.raises(WordError, match="generator index 5 out of range for 3 strands"):
+        copy.replace(word, letters=(Letter(5, 1, 0),))
 
 
 def loaded_after(code: str) -> set[str]:

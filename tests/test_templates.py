@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from braidskein.analysis import bad_counts
 from braidskein.homfly import homfly_oracle
-from braidskein.resolution import resolve
+from braidskein.resolution import BudgetError, resolve
 from braidskein.templates import (
     DivergencePair,
     enumerate_exchange_instances,
@@ -123,6 +123,12 @@ def test_search_finds_four_strand_divergence():
 
 def test_search_with_zero_block_length():
     assert search_exchange_divergence(4, 0) == []
+
+
+def test_search_stops_at_its_pair_budget():
+    # 1,863,225 block pairs, 16 times those of max_block_len 4: counted, not run
+    with pytest.raises(BudgetError, match="budget of 150,000 block pairs"):
+        search_exchange_divergence(4, 5)
 
 
 def test_search_rejects_tiny_strand_counts():

@@ -72,6 +72,15 @@ def test_word_validates_letters():
         BraidWord(3, (Letter(1, 1, 0), Letter(2, 1, 0)))
 
 
+def test_word_keeps_letters_as_a_tuple():
+    # a kept list would leave the word unhashable and open to unchecked letters
+    letters = [Letter(1, 1, 0), Letter(2, -1, 1)]
+    word = BraidWord(3, tuple(letters))
+    for built in (BraidWord(3, letters), BraidWord(3, (l for l in letters))):
+        assert built.letters == word.letters and type(built.letters) is tuple
+        assert built == word and hash(built) == hash(word)
+
+
 @given(words())
 def test_format_parse_round_trip(w):
     back = parse_word(w.format())
@@ -249,6 +258,23 @@ def test_change_crossing():
 def test_change_crossing_is_involution(w):
     for cid in w.crossing_ids():
         assert w.change_crossing(cid).change_crossing(cid) == w
+
+
+@given(words())
+def test_moves_derive_words_that_pass_the_checks(w):
+    """The moves skip the constructor's checks; every word they derive would pass them."""
+    derived = [w.free_reduce()]
+    derived += [w.cyclic_rotate(k) for k in range(len(w.letters))]
+    for pos in range(len(w.letters)):
+        try:
+            derived.append(w.apply_braid_relation_at(pos))
+        except MoveError:
+            pass
+    for cid in w.crossing_ids():
+        derived += [w.change_crossing(cid), w.delete_crossing(cid)]
+    for m in derived:
+        assert type(m) is BraidWord
+        assert BraidWord(m.strand_count, m.letters) == m
 
 
 def test_delete_crossing():
