@@ -45,8 +45,8 @@ def bfree_exponent(vector: SkeinVector) -> int:
     not produced by the resolution.
     """
     found: list[tuple[int, int]] = []
-    for poly in vector.entries().values():
-        for (a, b), c in poly.terms().items():
+    for poly in vector._entries.values():
+        for (a, b), c in poly._terms.items():
             if b == 0:
                 found.append((a, c))
     if len(found) != 1:

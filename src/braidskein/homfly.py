@@ -50,14 +50,14 @@ def to_homfly(vector: SkeinVector) -> HomflyPoly:
     sum_k |P_k| * k term products and builds one polynomial.
     """
     by_count: dict[int, dict[tuple[int, int], int]] = {}
-    for parts, poly in vector.entries().items():
+    for parts, poly in vector._entries.items():
         subbed = by_count.setdefault(len(parts), {})
-        for (a, b), c in poly.terms().items():
+        for (a, b), c in poly._terms.items():
             # c*A^a*B^b becomes c*(-1)^(a+b) * l^(-2a-b) * m^b
             key = (-2 * a - b, b)
             subbed[key] = subbed.get(key, 0) + (-c if (a + b) % 2 else c)
     # DELTA^(k-1) = sum_j C(k-1, j) * x^j * y^(k-1-j) over DELTA's terms x, y
-    ((xl, xm), cx), *rest = DELTA.terms().items()
+    ((xl, xm), cx), *rest = DELTA._terms.items()
     (((yl, ym), cy),) = rest or [((0, 0), 0)]  # a monomial DELTA has y = 0
     out: dict[tuple[int, int], int] = {}
     for k, subbed in by_count.items():
@@ -69,7 +69,7 @@ def to_homfly(vector: SkeinVector) -> HomflyPoly:
             for (le, me), c in subbed.items():
                 key = (le + dl, me + dm)
                 out[key] = out.get(key, 0) + c * d
-    return HomflyPoly(out)
+    return HomflyPoly._of({key: c for key, c in out.items() if c})
 
 
 def _binomials(k: int) -> list[int]:
@@ -196,7 +196,7 @@ class JonesPoly(Laurent):
         for e1, c1 in self._terms.items():
             for e2, c2 in other._terms.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        return type(self)(out)
+        return self._of({e: c for e, c in out.items() if c})
 
     def _powers(self, e: int) -> list[str]:
         if not e:
@@ -227,7 +227,7 @@ def jones(h: HomflyPoly) -> JonesPoly:
     """
     out: dict[int, int] = {}
     groups: dict[int, dict[int, int]] = {}
-    for (le, me), x in h.terms().items():
+    for (le, me), x in h._terms.items():
         if (le + me) % 2:
             raise ValueError("l and m exponents must have even sum")
         if me < 0:
@@ -257,4 +257,4 @@ def jones(h: HomflyPoly) -> JonesPoly:
                 out[key] = out.get(key, 0) + signed * b
         if any(ys[:c]):
             raise ValueError(f"the m^-{c} part is not divisible by (l + l^-1)^{c}")
-    return JonesPoly(out)
+    return JonesPoly._of({key: c for key, c in out.items() if c})

@@ -72,12 +72,11 @@ def _links(indices: tuple[int, ...], n: int) -> tuple[list[int], list[int]]:
     ``after[2*r + s]``, so crossing row r at link l leads to ``after[l ^ 1]``.
     """
     end = 2 * len(indices)
-    first = [end + p for p in range(n + 2)]
+    first = list(range(end, end + n + 2))
     after = [0] * end
-    for row in range(len(indices) - 1, -1, -1):
-        i = indices[row]
-        after[2 * row], after[2 * row + 1] = first[i], first[i + 1]
-        first[i], first[i + 1] = 2 * row, 2 * row + 1
+    for link, i in zip(range(end - 2, -1, -2), reversed(indices)):  # bottom row first; link = 2*row
+        after[link], after[link + 1] = first[i], first[i + 1]
+        first[i], first[i + 1] = link, link + 1
     return first, after
 
 
@@ -92,7 +91,8 @@ def _first_unders(word: BraidWord, basepoint: int, seen: set[int]) -> Iterator[L
     """
     letters = word.letters
     end = 2 * len(letters)
-    first, after = _links(tuple(l.index for l in letters), word.strand_count)
+    indices, signs, ids = zip(*letters) if letters else ((), (), ())
+    first, after = _links(indices, word.strand_count)
     walked: set[int] = set()
     for start in (basepoint, *range(1, word.strand_count + 1)):
         position = start
@@ -100,12 +100,12 @@ def _first_unders(word: BraidWord, basepoint: int, seen: set[int]) -> Iterator[L
             walked.add(position)
             link = first[position]
             while link < end:
-                letter = letters[link >> 1]
-                if letter.crossing_id not in seen:
+                row = link >> 1
+                if ids[row] not in seen:
                     # the over-strand enters a positive crossing on side 0
-                    if link & 1 == (letter.sign > 0):
-                        yield letter
-                    seen.add(letter.crossing_id)
+                    if link & 1 == (signs[row] > 0):
+                        yield letters[row]
+                    seen.add(ids[row])
                 link = after[link ^ 1]
             position = link - end
 
@@ -114,9 +114,8 @@ def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
     """Label every crossing good or bad without resolving anything, in
     word order."""
     _check_basepoint(word, basepoint)
-    bad = {letter.crossing_id for letter in _first_unders(word, basepoint, set())}
-    return {l.crossing_id: Label.BAD if l.crossing_id in bad else Label.GOOD
-            for l in word.letters}
+    bad = (letter.crossing_id for letter in _first_unders(word, basepoint, set()))
+    return {**dict.fromkeys(word.crossing_ids(), Label.GOOD), **dict.fromkeys(bad, Label.BAD)}
 
 
 # -- depth-first walk ---------------------------------------------------------
@@ -141,7 +140,7 @@ class BudgetError(ValueError):
 
 
 def _laurent(terms: dict[int, int]) -> LaurentAB:
-    return LaurentAB({divmod(k, _B_SPAN): c for k, c in terms.items()})
+    return LaurentAB._of({divmod(k, _B_SPAN): c for k, c in terms.items() if c})
 
 
 def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, int]]:
@@ -313,7 +312,7 @@ def _dot(element: list[dict[int, int]], n: int, basepoint: int) -> SkeinVector:
             for k, d in coeff.items():
                 k += shift
                 out[k] = out.get(k, 0) + c * d
-    return SkeinVector(n, {parts: _laurent(out) for parts, out in zip(parts_list, totals) if out})
+    return SkeinVector._of(n, {parts: _laurent(out) for parts, out in zip(parts_list, totals) if out})
 
 
 # -- entry points ------------------------------------------------------------------
@@ -340,7 +339,7 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
     n = word.strand_count
     if n <= _HECKE_MAX_STRANDS:
         return _dot(_hecke_product(word), n, basepoint)
-    return SkeinVector(n, {parts: _laurent(terms) for parts, terms in _walk(word, basepoint).items()})
+    return SkeinVector._of(n, {parts: _laurent(terms) for parts, terms in _walk(word, basepoint).items()})
 
 
 def compare_basepoints(word: BraidWord) -> dict[int, SkeinVector]:
@@ -425,10 +424,10 @@ def tree_vector(node: ResolutionNode) -> SkeinVector:
         current, coeff = stack.pop()
         if current.is_leaf():
             parts = current.leaf_partition()
-            totals[parts] = totals.get(parts, LaurentAB.zero()) + coeff
+            totals[parts] = totals[parts] + coeff if parts in totals else coeff
         else:
             stack.extend((child, child.edge * coeff) for child in current.children)
-    return SkeinVector(node.word.strand_count, totals)
+    return SkeinVector._of(node.word.strand_count, totals)
 
 
 def leaf_count(node: ResolutionNode) -> int:

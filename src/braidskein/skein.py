@@ -5,6 +5,8 @@ Coefficients live in the ring of integer Laurent polynomials in A with an
 ordinary (never inverted) variable B.  A resolution result is a finite
 linear combination of partitions of the strand count over that ring; the
 partition indexes the descending diagram whose closure has that cycle type.
+The public constructors check their input; values built inside the package from
+checked ones (arithmetic, resolution, bridge) take the unchecked ``_of``.
 """
 
 from __future__ import annotations
@@ -40,6 +42,13 @@ class Laurent:
         self._terms = {key: c for key, c in terms.items() if c}
 
     @classmethod
+    def _of(cls, terms: dict):
+        """A value on a zero-free term map that the caller built, unchecked."""
+        value = object.__new__(cls)
+        value._terms = terms
+        return value
+
+    @classmethod
     def monomial(cls, coeff: int, e1: int = 0, e2: int = 0):
         return cls({(e1, e2): coeff})
 
@@ -67,11 +76,14 @@ class Laurent:
     def __add__(self, other):
         out = dict(self._terms)
         for key, c in other._terms.items():
-            out[key] = out.get(key, 0) + c
-        return type(self)(out)
+            if c := out.get(key, 0) + c:
+                out[key] = c
+            else:
+                del out[key]
+        return self._of(out)
 
     def __neg__(self):
-        return type(self)({key: -c for key, c in self._terms.items()})
+        return self._of({key: -c for key, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -82,7 +94,7 @@ class Laurent:
             for (a2, b2), c2 in other._terms.items():
                 key = (a1 + a2, b1 + b2)
                 out[key] = out.get(key, 0) + c1 * c2
-        return type(self)(out)
+        return self._of({key: c for key, c in out.items() if c})
 
     # -- per-type hooks ------------------------------------------------------
 
@@ -149,15 +161,10 @@ class LaurentAB(Laurent):
     _variables = ("A", "B")
 
     def __init__(self, terms: Mapping[tuple[int, int], int] = ()):
-        if type(terms) is not dict:
-            terms = dict(terms)
-        clean = {}
-        for key, c in terms.items():
-            if c:
-                if key[1] < 0:
-                    raise RingDomainError(f"negative exponent {key[1]} on B")
-                clean[key] = c
-        self._terms = clean
+        super().__init__(terms)
+        for _, b in self._terms:
+            if b < 0:
+                raise RingDomainError(f"negative exponent {b} on B")
 
     @staticmethod
     def _term_order(term):
@@ -186,9 +193,7 @@ class SkeinVector:
     __slots__ = ("strand_count", "_entries")
 
     def __init__(self, strand_count: int, entries: Mapping[tuple[int, ...], LaurentAB] = ()):
-        if type(entries) is not dict:
-            entries = dict(entries)
-        clean: dict[tuple[int, ...], LaurentAB] = {}
+        entries = dict(entries)
         for parts in sorted(entries, reverse=True):
             # non-increasing, positive and summing to strand_count
             if (sum(parts) != strand_count or sorted(parts, reverse=True) != [*parts]
@@ -196,11 +201,16 @@ class SkeinVector:
                 raise DimensionError(
                     f"{parts} is not a partition of {strand_count}"
                 )
-            poly = entries[parts]
-            if poly:
-                clean[parts] = poly
         self.strand_count = strand_count
-        self._entries = clean
+        self._entries = {p: entries[p] for p in sorted(entries, reverse=True) if entries[p]}
+
+    @classmethod
+    def _of(cls, strand_count: int, entries: dict[tuple[int, ...], LaurentAB]) -> SkeinVector:
+        """Like the constructor, on entries keyed by partitions of strand_count, unchecked."""
+        vector = object.__new__(cls)
+        vector.strand_count = strand_count
+        vector._entries = {p: entries[p] for p in sorted(entries, reverse=True) if entries[p]}
+        return vector
 
     @staticmethod
     def singleton(strand_count: int, parts: tuple[int, ...]) -> SkeinVector:
@@ -232,10 +242,10 @@ class SkeinVector:
         out = dict(self._entries)
         for parts, poly in other._entries.items():
             out[parts] = out.get(parts, LaurentAB.zero()) + poly
-        return SkeinVector(self.strand_count, out)
+        return SkeinVector._of(self.strand_count, out)
 
     def scale(self, factor: LaurentAB) -> SkeinVector:
-        return SkeinVector(
+        return SkeinVector._of(
             self.strand_count,
             {parts: factor * poly for parts, poly in self._entries.items()},
         )

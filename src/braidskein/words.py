@@ -17,6 +17,10 @@ as built by :meth:`BraidWord.from_signed`, counting from 0.  Every move
 below keeps the ids of the crossings it keeps (sign changes, reordering,
 deletion of other letters), and no move inserts letters, so an id names
 the same crossing in every word derived from the original.
+
+Checks run once, at the public boundary: :func:`parse_word` checks each token,
+:meth:`BraidWord.from_signed` each signed index and the constructor (hence copy
+and pickle) each letter; the words built inside the package skip them.
 """
 
 from __future__ import annotations
@@ -45,8 +49,8 @@ class _Word(NamedTuple):
 
 
 class BraidWord(_Word):
-    """An immutable n-strand braid word.  Only the constructor (hence copy, pickle from protocol 2
-    and ``copy.replace``) checks it; a move derives its word by ``_replace``, unchecked."""
+    """An immutable n-strand braid word.  Only the constructor (hence copy, pickle and
+    ``copy.replace``) checks it; parsing and the moves build their words unchecked."""
 
     __slots__ = ()
 
@@ -56,17 +60,19 @@ class BraidWord(_Word):
             raise WordError(f"strand count must be >= 1, got {strand_count}")
         seen_ids = set()
         for letter in letters:
+            if not all(isinstance(x, int) for x in letter):
+                raise WordError(f"{letter} holds a value that is not an int")
             if not 1 <= letter.index < strand_count:
-                raise WordError(
-                    f"generator index {letter.index} out of range for "
-                    f"{strand_count} strands"
-                )
+                raise WordError(f"generator index {letter.index} out of range for {strand_count} strands")
             if letter.sign not in (1, -1):
                 raise WordError(f"letter sign must be +1 or -1, got {letter.sign}")
             if letter.crossing_id in seen_ids:
                 raise WordError(f"duplicate crossing id {letter.crossing_id}")
             seen_ids.add(letter.crossing_id)
         return super().__new__(cls, strand_count, letters)
+
+    def __reduce__(self):
+        return BraidWord, (self.strand_count, self.letters)
 
     def __replace__(self, /, **changes) -> BraidWord:
         return type(self)(*self._replace(**changes))
@@ -76,12 +82,14 @@ class BraidWord(_Word):
     @staticmethod
     def from_signed(strand_count: int, signed_indices: Iterable[int]) -> BraidWord:
         """Build a word from signed generator indices, numbering ids from 0."""
-        letters = []
-        for k, s in enumerate(signed_indices):
-            if s == 0:
-                raise WordError("generator index 0 is not allowed")
-            letters.append(Letter(abs(s), 1 if s > 0 else -1, k))
-        return BraidWord(strand_count, letters)
+        signed = tuple(signed_indices)
+        if 0 in signed:
+            raise WordError("generator index 0 is not allowed")
+        for s in signed:
+            if not isinstance(s, int):
+                raise WordError(f"signed index {s!r} is not an int")
+        return _word(strand_count, signed, lambda k: (
+            f"generator index {abs(signed[k])} out of range for {strand_count} strands"))
 
     # -- formatting --------------------------------------------------------
 
@@ -197,15 +205,25 @@ def parse_word(text: str) -> BraidWord:
     if not sep:
         raise WordError(f"expected 'n: letters', got {text!r}")
     n = _parse_int(head.strip(), "strand count")
+    tokens = body.split()
+    return _word(n, (_parse_int(token, "letter") for token in tokens),
+                 lambda k: f"letter {tokens[k]!r} out of range for {n} strands")
+
+
+def _word(n: int, signed: Iterable[int], out_of_range) -> BraidWord:
+    """Range-check each signed int once and build the word unchecked; out_of_range(k) is the message."""
     if n < 1:
         raise WordError(f"strand count must be >= 1, got {n}")
-    signed = []
-    for token in body.split():
-        value = _parse_int(token, "letter")
-        if value == 0 or abs(value) >= n:
-            raise WordError(f"letter {token!r} out of range for {n} strands")
-        signed.append(value)
-    return BraidWord.from_signed(n, signed)
+    new = tuple.__new__
+    letters = []
+    for k, s in enumerate(signed):
+        if 0 < s < n:
+            letters.append(new(Letter, (+s, 1, k)))
+        elif 0 < -s < n:
+            letters.append(new(Letter, (-s, -1, k)))
+        else:
+            raise WordError(out_of_range(k))
+    return BraidWord._make((n, tuple(letters)))
 
 
 def signed_words(n: int, max_len: int) -> Iterator[tuple[int, ...]]:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidskein import resolution
-from braidskein.homfly import homfly_oracle, to_homfly
+from braidskein.homfly import DELTA, homfly_oracle, jones, to_homfly
 from braidskein.resolution import (
     BudgetError,
     Label,
@@ -18,7 +18,7 @@ from braidskein.resolution import (
     resolve,
     tree_vector,
 )
-from braidskein.skein import A, A_INV, B, LaurentAB, SkeinVector
+from braidskein.skein import A, A_INV, B, NEG_A_INV_B, LaurentAB, SkeinVector
 from braidskein.words import (
     BraidWord,
     WordError,
@@ -347,3 +347,52 @@ def test_tree_branches_at_the_bad_labels(w):
             branched.add(hit)
             node = flip
         assert branched == bad
+
+
+# -- values built without the constructors' checks ----------------------------
+
+
+@st.composite
+def words_on_one_to_eight_strands(draw):
+    n = draw(st.integers(1, 8))
+    if n == 1:
+        return BraidWord.from_signed(1, [])
+    signed = draw(st.lists(st.integers(1, n - 1).flatmap(
+        lambda i: st.sampled_from([i, -i])), max_size=7))
+    return BraidWord.from_signed(n, signed)
+
+
+def assert_as_if_checked(value):
+    """The value equals its rebuild through the public constructor, keeps
+    its entries in reverse-lexicographic order and holds no zero."""
+    if isinstance(value, SkeinVector):
+        entries = value.entries()
+        assert value == SkeinVector(value.strand_count, entries)
+        assert list(entries) == sorted(entries, reverse=True)
+        for poly in entries.values():
+            assert poly and type(poly) is LaurentAB
+            assert_as_if_checked(poly)
+    else:
+        terms = value.terms()
+        assert value == type(value)(terms) and all(terms.values())
+
+
+@given(words_on_one_to_eight_strands())
+@settings(deadline=None)
+def test_unchecked_values_equal_checked_ones(w):
+    polys = [A, -B, LaurentAB.one() + NEG_A_INV_B]
+    vectors = list(compare_basepoints(w).values())
+    for bp in range(1, w.strand_count + 1):
+        vector = resolve(w, bp)
+        vectors += [vector, tree_vector(resolution_tree(w, bp))]
+        h = to_homfly(vector)
+        j = jones(h)
+        for value in (h, h + h, h - h, h * DELTA, -h, j, j * j, j - j):
+            assert_as_if_checked(value)
+        polys += vector.entries().values()
+    for vector in vectors:
+        assert_as_if_checked(vector)
+    for x in polys:
+        for y in polys[:4]:
+            for value in (x + y, x - y, x * y, -x):
+                assert_as_if_checked(value)

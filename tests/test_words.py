@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,6 +81,70 @@ def test_word_keeps_letters_as_a_tuple():
     for built in (BraidWord(3, letters), BraidWord(3, (l for l in letters))):
         assert built.letters == word.letters and type(built.letters) is tuple
         assert built == word and hash(built) == hash(word)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("3: 5 \u0662", "letter '5' out of range for 3 strands"),
+    ("3: \u0662 5", "bad letter token '\u0662'"),
+    ("3: 1_0 9", "bad letter token '1_0'"),
+    ("3: 1 " + "1" * 4301, "bad letter token '" + "1" * 4301 + "'"),
+    ("0:", "strand count must be >= 1, got 0"),
+    ("x: 1", "bad strand count token 'x'"),
+    ("\u0663: 1", "bad strand count token '\u0663'"),
+    ("3 1", "expected 'n: letters', got '3 1'"),
+])
+def test_parse_errors_name_the_first_faulty_token(text, message):
+    with pytest.raises(WordError) as raised:
+        parse_word(text)
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: BraidWord.from_signed(3, [1.5]), "signed index 1.5 is not an int"),
+    (lambda: BraidWord.from_signed(3, [1.0]), "signed index 1.0 is not an int"),
+    (lambda: BraidWord.from_signed(3, [1, "2"]), "signed index '2' is not an int"),
+    (lambda: BraidWord(3, [Letter(1, 1, "a"), Letter(2, -1, None)]),
+     "Letter(index=1, sign=1, crossing_id='a') holds a value that is not an int"),
+    (lambda: BraidWord(3, [Letter(1.0, 1, 0)]),
+     "Letter(index=1.0, sign=1, crossing_id=0) holds a value that is not an int"),
+    (lambda: BraidWord(3, [Letter(1, 1.0, 0)]),
+     "Letter(index=1, sign=1.0, crossing_id=0) holds a value that is not an int"),
+])
+def test_non_int_letters_are_rejected(build, message):
+    with pytest.raises(WordError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
+def test_bool_letters_stay_accepted():
+    assert BraidWord.from_signed(3, [True, -True]) == parse_word("3: 1 -1")
+    assert BraidWord(3, [Letter(True, True, False)]) == parse_word("3: 1")
+
+
+@pytest.mark.parametrize("protocol", range(6))
+def test_pickle_round_trips(protocol):
+    word = parse_word("4: 1 -3 2")
+    again = pickle.loads(pickle.dumps(word, protocol))
+    assert type(again) is BraidWord and again == word
+
+
+@pytest.mark.parametrize("protocol, index_1, index_7", [
+    (0, b"I1\nI1\nI0", b"I7\nI1\nI0"),
+    (1, b"K\x01K\x01K\x00", b"K\x07K\x01K\x00"),
+])
+def test_edited_pickles_are_checked(protocol, index_1, index_7):
+    # without __reduce__, protocols 0 and 1 rebuild the word by tuple.__new__, past the checks
+    data = pickle.dumps(parse_word("3: 1"), protocol)
+    assert data.count(index_1) == 1
+    with pytest.raises(WordError, match="generator index 7 out of range for 3 strands"):
+        pickle.loads(data.replace(index_1, index_7))
+
+
+@given(words(max_strands=8))
+def test_unchecked_words_equal_checked_ones(w):
+    for built in (w, parse_word(w.format())):
+        assert built == BraidWord(built.strand_count, built.letters)
+        assert all(type(letter) is Letter for letter in built.letters)
 
 
 @given(words())
