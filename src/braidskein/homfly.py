@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import enum
 
-from .resolution import resolve
+from .resolution import BudgetError, resolve
 from .skein import Laurent, SkeinVector
 from .words import BraidWord
 
@@ -90,6 +90,10 @@ def _binomials(k: int) -> list[int]:
 
 # the oracle's own split-unknot value, deliberately not shared with DELTA
 _ORACLE_SPLIT = HomflyPoly({(1, -1): -1, (-1, -1): -1})
+# diagrams that one oracle call may pop: criterion 8 pops at most 149 per
+# word and the exchange search at --max-len 4 at most 387; at 4-10 us a
+# diagram on words of 18-26 letters, the budget takes 4-10 s
+_ORACLE_BUDGET = 1_000_000
 
 
 def _oracle_walk(letters: tuple[tuple[int, int], ...], n: int) -> tuple[int | None, int]:
@@ -118,10 +122,15 @@ def _oracle_walk(letters: tuple[tuple[int, int], ...], n: int) -> tuple[int | No
 
 
 def homfly_oracle(word: BraidWord) -> HomflyPoly:
-    """Polynomial of the closure, computed independently of the resolution."""
+    """Polynomial of the closure, computed independently of the resolution.
+    Past :data:`_ORACLE_BUDGET` diagrams it raises :class:`BudgetError`."""
     sums: dict[int, dict[tuple[int, int], int]] = {}
     stack = [(tuple((l.index, l.sign) for l in word.letters), 1, 0, 0)]
+    popped = 0
     while stack:
+        popped += 1
+        if popped > _ORACLE_BUDGET:
+            raise BudgetError(f"oracle exceeds its budget of {_ORACLE_BUDGET:,} diagrams")
         letters, c, le, me = stack.pop()
         row, components = _oracle_walk(letters, word.strand_count)
         if row is None:

@@ -15,7 +15,10 @@ The walk is stated twice, and both statements follow successor links
 (:func:`_links`), so a pass costs the rows it crosses, not the whole word.
 :func:`_walk` runs it as a depth-first search that continues in place past
 each branch point, carrying each path's monomial as one key; strands that
-no crossing touches close at once as parts of size 1.  The generator
+no crossing touches close at once as parts of size 1.  Each leaf adds its
+sign to a bucket keyed by the sizes of the components it closed, in walk
+order, and each distinct order is sorted into its partition once, after the
+search, where the buckets of one partition merge.  The generator
 :func:`_first_unders` runs it plainly, yielding each bad crossing as the
 walk reaches it; :func:`label_only` reads all of it, and
 :func:`resolution_tree` runs it from scratch on each node up to the node's
@@ -128,7 +131,7 @@ def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
 _B_SPAN = 1 << 40
 _UNSEEN, _GOOD, _GONE = 0, 1, 2
 # leaves that one search may pop: 50,000 random six-strand words of 18-21
-# letters reached at most 52,712; at about 6 us a leaf this takes 7 s
+# letters reached at most 52,712; at 3.5-5 us a leaf this takes 4-6 s
 _LEAF_BUDGET = 1_200_000
 # letters that the node words of one tree may hold between them: the tree
 # of 2: -1 x21 (28,657 leaves) holds 689,587, that of x22 1,167,051
@@ -146,13 +149,19 @@ def _laurent(terms: dict[int, int]) -> LaurentAB:
 def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, int]]:
     """The resolution as {partition: {monomial key: coeff}}, by a
     depth-first search that continues in place past each branch point.
-    Past :data:`_LEAF_BUDGET` leaves it raises :class:`BudgetError`."""
+
+    Each leaf adds its path sign to a bucket keyed by the linked list of
+    the sizes it closed, in walk order; once the search ends, each distinct
+    list becomes its partition (parts sorted, idle strands appended) and
+    buckets that name the same partition merge.  Past :data:`_LEAF_BUDGET`
+    leaves it raises :class:`BudgetError`."""
     n = word.strand_count
     indices = tuple(l.index for l in word.letters)
     positive = tuple(l.sign > 0 for l in word.letters)
     length = len(indices)
     end = 2 * length
     first, after = _links(indices, n)
+    cross = [after[link ^ 1] for link in range(end)]  # past row link >> 1, crossing it
     # idle strands close at once; the walk visits the touched ones, by rank
     touched = [p for p in range(1, n + 1) if first[p] < end]
     idle = (1,) * (n - len(touched))
@@ -163,7 +172,7 @@ def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, in
     if basepoint not in rank:
         basepoint = touched[0]
 
-    totals: dict[tuple[int, ...], dict[int, int]] = {}
+    buckets: dict[tuple, dict[int, int]] = {}
 
     # node: link, component start, walked-top rank bitmask, size of the open
     # component, closed sizes as a linked list, path sign, monomial key,
@@ -179,9 +188,10 @@ def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, in
         while True:
             while link < end:
                 row = link >> 1
-                if state[row] == _GOOD:
-                    link = after[link ^ 1]
-                elif state[row] == _GONE:
+                s = state[row]
+                if s == _GOOD:
+                    link = cross[link]
+                elif s == _GONE:
                     link = after[link]
                 else:
                     if link & 1 == positive[row]:
@@ -196,7 +206,7 @@ def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, in
                             key -= _B_SPAN
                         stack.append((after[link], start, done, size, sizes, *delete, child))
                     state[row] = _GOOD
-                    link = after[link ^ 1]
+                    link = cross[link]
             pos = link - end
             if pos != start:
                 done |= 1 << rank[pos]
@@ -210,12 +220,23 @@ def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, in
             done |= 1 << rank[start]
             size = 1
             link = first[start]
+        bucket = buckets.get(sizes)
+        if bucket is None:
+            buckets[sizes] = {key: csign}
+        else:
+            bucket[key] = bucket.get(key, 0) + csign
+
+    totals: dict[tuple[int, ...], dict[int, int]] = {}
+    for sizes, bucket in buckets.items():
         flat = []
         while sizes:
             size, sizes = sizes
             flat.append(size)
-        bucket = totals.setdefault(tuple(sorted(flat, reverse=True)) + idle, {})
-        bucket[key] = bucket.get(key, 0) + csign
+        parts = tuple(sorted(flat, reverse=True)) + idle
+        into = totals.setdefault(parts, bucket)
+        if into is not bucket:
+            for k, c in bucket.items():
+                into[k] = into.get(k, 0) + c
     return totals
 
 
@@ -223,8 +244,8 @@ def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, in
 
 _HECKE_MAX_STRANDS = 5
 # (n, basepoint) -> per permutation index, None until first read, else the
-# flat (partition index, monomial key, coeff) terms of resolve(T_w)
-_TABLES: dict[tuple[int, int], list[tuple[int, ...] | None]] = {}
+# (partition index, monomial key, coeff) terms of resolve(T_w)
+_TABLES: dict[tuple[int, int], list[tuple[tuple[int, int, int], ...] | None]] = {}
 
 
 @functools.cache
@@ -296,23 +317,24 @@ def _dot(element: list[dict[int, int]], n: int, basepoint: int) -> SkeinVector:
     table = _TABLES.get((n, basepoint))
     if table is None:
         table = _TABLES[n, basepoint] = [None] * len(perms)
-    totals: list[dict[int, int]] = [{} for _ in parts_list]
-    for w, coeff in enumerate(element):
-        if not coeff:
-            continue
+    totals: dict[int, dict[int, int]] = {}
+    for w in itertools.compress(range(len(element)), element):
+        coeff = element[w]
         entry = table[w]
         if entry is None:
             walked = _walk(BraidWord.from_signed(n, _reduced_word(perms[w])), basepoint)
-            entry = table[w] = tuple(x for parts, terms in walked.items()
-                                     for k, c in terms.items() if c
-                                     for x in (where[parts], k, c))
-        it = iter(entry)
-        for p, shift, c in zip(it, it, it):
-            out = totals[p]
+            entry = table[w] = tuple((where[parts], k, c) for parts, terms in walked.items()
+                                     for k, c in terms.items() if c)
+        for p, shift, c in entry:
+            out = totals.get(p)
+            if out is None:
+                out = totals[p] = {}
             for k, d in coeff.items():
                 k += shift
                 out[k] = out.get(k, 0) + c * d
-    return SkeinVector._of(n, {parts: _laurent(out) for parts, out in zip(parts_list, totals) if out})
+    # partition indices run in partition order, largest part first
+    return SkeinVector._in_order(n, {parts_list[p]: poly for p in sorted(totals)
+                                     if (poly := _laurent(totals[p]))})
 
 
 # -- entry points ------------------------------------------------------------------

@@ -207,9 +207,15 @@ class SkeinVector:
     @classmethod
     def _of(cls, strand_count: int, entries: dict[tuple[int, ...], LaurentAB]) -> SkeinVector:
         """Like the constructor, on entries keyed by partitions of strand_count, unchecked."""
+        return cls._in_order(strand_count, {p: entries[p] for p in sorted(entries, reverse=True)
+                                            if entries[p]})
+
+    @classmethod
+    def _in_order(cls, strand_count: int, entries: dict[tuple[int, ...], LaurentAB]) -> SkeinVector:
+        """A vector on zero-free entries that the caller built in partition order, unchecked."""
         vector = object.__new__(cls)
         vector.strand_count = strand_count
-        vector._entries = {p: entries[p] for p in sorted(entries, reverse=True) if entries[p]}
+        vector._entries = entries
         return vector
 
     @staticmethod

@@ -19,8 +19,9 @@ deletion of other letters), and no move inserts letters, so an id names
 the same crossing in every word derived from the original.
 
 Checks run once, at the public boundary: :func:`parse_word` checks each token,
-:meth:`BraidWord.from_signed` each signed index and the constructor (hence copy
-and pickle) each letter; the words built inside the package skip them.
+:meth:`BraidWord.from_signed` the strand count and each signed index, and the
+constructor (hence copy and pickle) the strand count and each letter; the words
+built inside the package skip them.
 """
 
 from __future__ import annotations
@@ -56,10 +57,11 @@ class BraidWord(_Word):
 
     def __new__(cls, strand_count: int, letters: Iterable[Letter]) -> BraidWord:
         letters = tuple(letters)
-        if strand_count < 1:
-            raise WordError(f"strand count must be >= 1, got {strand_count}")
+        _check_strand_count(strand_count)
         seen_ids = set()
         for letter in letters:
+            if not isinstance(letter, Letter):
+                raise WordError(f"{letter!r} is not a Letter")
             if not all(isinstance(x, int) for x in letter):
                 raise WordError(f"{letter} holds a value that is not an int")
             if not 1 <= letter.index < strand_count:
@@ -210,10 +212,16 @@ def parse_word(text: str) -> BraidWord:
                  lambda k: f"letter {tokens[k]!r} out of range for {n} strands")
 
 
-def _word(n: int, signed: Iterable[int], out_of_range) -> BraidWord:
-    """Range-check each signed int once and build the word unchecked; out_of_range(k) is the message."""
+def _check_strand_count(n: int):
+    if not isinstance(n, int):
+        raise WordError(f"strand count {n!r} is not an int")
     if n < 1:
         raise WordError(f"strand count must be >= 1, got {n}")
+
+
+def _word(n: int, signed: Iterable[int], out_of_range) -> BraidWord:
+    """Range-check each signed int once and build the word unchecked; out_of_range(k) is the message."""
+    _check_strand_count(n)
     new = tuple.__new__
     letters = []
     for k, s in enumerate(signed):

@@ -8,6 +8,7 @@ from math import comb
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from braidskein import homfly
 from braidskein.homfly import (
     DELTA,
     BraidIndexCertificate,
@@ -19,7 +20,7 @@ from braidskein.homfly import (
     mfw_lower_bound,
     to_homfly,
 )
-from braidskein.resolution import resolve
+from braidskein.resolution import BudgetError, resolve
 from braidskein.skein import A, A_INV, B, LaurentAB, SkeinVector
 from braidskein.words import BraidWord, basis_braid, parse_word, partitions_of
 
@@ -181,6 +182,22 @@ def test_oracle_reference_values():
     assert homfly_oracle(parse_word("7: 1 1 1 5")) == TREFOIL * powers[4]
     # 1,200 letters deep: the oracle must not lean on the recursion limit
     assert homfly_oracle(parse_word("2: " + " ".join(["1 -1"] * 600))) == DELTA
+
+
+def test_oracle_stops_at_its_diagram_budget(monkeypatch):
+    # each popped diagram is walked once, so the walks count the diagrams
+    w = parse_word("3: 1 -2 1 -2 1 -2 1")
+    walk, walked = homfly._oracle_walk, []
+    monkeypatch.setattr(homfly, "_oracle_walk",
+                        lambda letters, n: walked.append(letters) or walk(letters, n))
+    want = to_homfly(resolve(w))
+    assert homfly_oracle(w) == want
+    diagrams = len(walked)
+    monkeypatch.setattr(homfly, "_ORACLE_BUDGET", diagrams)
+    assert homfly_oracle(w) == want
+    monkeypatch.setattr(homfly, "_ORACLE_BUDGET", diagrams - 1)
+    with pytest.raises(BudgetError, match=f"budget of {diagrams - 1} diagrams"):
+        homfly_oracle(w)
 
 
 def _place(n, blocks):

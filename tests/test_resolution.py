@@ -25,6 +25,7 @@ from braidskein.words import (
     basis_braid,
     parse_word,
     partitions_of,
+    permutation,
     signed_words,
 )
 
@@ -76,10 +77,10 @@ def scan_labels(word: BraidWord, basepoint: int) -> dict[int, Label]:
 
 
 @st.composite
-def gapped_words(draw, max_strands=40, max_len=10):
+def gapped_words(draw, max_strands=40, max_len=10, min_strands=2):
     """Words whose generators come from a random subset, so that some
     strands are idle and the touched ones can sit far apart."""
-    n = draw(st.integers(2, max_strands))
+    n = draw(st.integers(min_strands, max_strands))
     pool = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6, unique=True))
     signed = draw(st.lists(st.sampled_from(pool).flatmap(
         lambda i: st.sampled_from([i, -i])), max_size=max_len))
@@ -264,6 +265,61 @@ def test_search_stops_at_its_leaf_budget(monkeypatch):
     monkeypatch.setattr(resolution, "_LEAF_BUDGET", leaves - 1)
     with pytest.raises(BudgetError, match=f"budget of {leaves - 1} leaves"):
         resolve(w)
+
+
+# -- the search's leaf sums --------------------------------------------------------
+#
+# The search sums each leaf under the sizes of the components it closed, in
+# walk order, and merges the orders that name one partition at the end.
+
+
+def closing_order(root: BraidWord, leaf: BraidWord, basepoint: int) -> tuple[int, ...]:
+    """Sizes of a leaf's components in the order the search closes them: the
+    basepoint's first, then by smallest strand position, over the positions
+    that the root word touches."""
+    perm = permutation(leaf)
+    touched = sorted({p for l in root.letters for p in (l.index, l.index + 1)})
+    walked: set[int] = set()
+    sizes = []
+    for start in ([basepoint] if basepoint in touched else []) + touched:
+        size, p = 0, start
+        while p not in walked:
+            walked.add(p)
+            size += 1
+            p = perm[p - 1]
+        if size:
+            sizes.append(size)
+    return tuple(sizes)
+
+
+def test_search_merges_the_orders_that_close_one_partition():
+    # strands 1-2 and 4-5 hold split trefoils, each closing as (2) or (1,1),
+    # so (2,1,1,1,1) closes in two orders from every basepoint, e.g. as
+    # 2,1,1 or 1,1,2 from strand 1
+    w = parse_word("6: 1 1 1 4 4 4")
+    for bp in range(1, 7):
+        tree = resolution_tree(w, bp)
+        orders: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            stack.extend(node.children)
+            if node.is_leaf():
+                orders.setdefault(node.leaf_partition(), set()).add(closing_order(w, node.word, bp))
+        assert len(orders[2, 1, 1, 1, 1]) == 2
+        assert resolve(w, bp) == tree_vector(tree)
+    # at basepoint 1 the split word resolves to the product of its blocks
+    closed, split = resolve(parse_word("2: 1 1 1")).entries().values()  # on (2) and (1,1)
+    assert resolve(w) == SkeinVector(6, {(2, 2, 1, 1): closed * closed,
+                                         (2, 1, 1, 1, 1): closed * split + split * closed,
+                                         (1,) * 6: split * split})
+
+
+@given(gapped_words(min_strands=6, max_strands=8, max_len=12))
+@settings(deadline=None)
+def test_search_equals_the_tree_on_six_to_eight_strands(w):
+    for bp in range(1, w.strand_count + 1):
+        assert resolve(w, bp) == tree_vector(resolution_tree(w, bp))
 
 
 # -- tree ------------------------------------------------------------------------

@@ -116,9 +116,33 @@ def test_non_int_letters_are_rejected(build, message):
     assert str(raised.value) == message
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: BraidWord.from_signed(3.0, [1]), "strand count 3.0 is not an int"),
+    (lambda: BraidWord.from_signed("3", []), "strand count '3' is not an int"),
+    (lambda: BraidWord(3.0, []), "strand count 3.0 is not an int"),
+    (lambda: BraidWord("3", []), "strand count '3' is not an int"),
+    (lambda: BraidWord(None, [Letter(1, 1, 0)]), "strand count None is not an int"),
+    (lambda: BraidWord(3, [(1, 1, 0)]), "(1, 1, 0) is not a Letter"),
+    (lambda: BraidWord(3, [Letter(1, 1, 0), [2, -1, 1]]), "[2, -1, 1] is not a Letter"),
+    (lambda: BraidWord(3, [1]), "1 is not a Letter"),
+])
+def test_non_int_strand_counts_and_non_letters_are_rejected(build, message):
+    with pytest.raises(WordError) as raised:
+        build()
+    assert str(raised.value) == message
+
+
 def test_bool_letters_stay_accepted():
     assert BraidWord.from_signed(3, [True, -True]) == parse_word("3: 1 -1")
     assert BraidWord(3, [Letter(True, True, False)]) == parse_word("3: 1")
+
+
+def test_bool_strand_counts_follow_the_letters_rule():
+    # a bool is an int, as for letters: True is one strand, False is too few
+    assert BraidWord(True, []) == BraidWord.from_signed(True, []) == parse_word("1:")
+    for build in (lambda: BraidWord(False, []), lambda: BraidWord.from_signed(False, [])):
+        with pytest.raises(WordError, match="strand count must be >= 1, got False"):
+            build()
 
 
 @pytest.mark.parametrize("protocol", range(6))
