@@ -36,10 +36,12 @@ with the resolutions of the basis elements T_w.  So on up to
 :data:`_HECKE_MAX_STRANDS` strands :func:`resolve` multiplies the word out
 letter by letter, each step costing the element's support rather than a
 leaf per diagram, and reads each resolve(T_w) from a table that the search
-fills once, on a reduced positive word of w.  The table holds n*n! entries
-per strand count, 719 through five strands; a sixth strand alone would add
-4320, and a product step there touches 360 pairs per letter, so wider
-words keep the search.
+fills once, on a reduced positive word of w.  The element is graded, so the
+product carries only B's exponent and puts A's back at the end, from the
+writhe and the length of w (:func:`_hecke_product`).  The table holds n*n!
+entries per strand count, 719 through five strands; a sixth strand alone
+would add 4320, and a product step there touches 360 pairs per letter, so
+wider words keep the search.
 """
 
 from __future__ import annotations
@@ -59,6 +61,10 @@ class Label(enum.Enum):
 
 
 def _check_basepoint(word: BraidWord, basepoint: int):
+    if word.strand_count > _STRAND_BUDGET:
+        raise BudgetError(
+            f"{word.strand_count} strands exceed the budget of {_STRAND_BUDGET:,} strands"
+        )
     if not 1 <= basepoint <= word.strand_count:
         raise WordError(
             f"basepoint {basepoint} out of range for {word.strand_count} strands"
@@ -123,10 +129,12 @@ def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
 
 # -- depth-first walk ---------------------------------------------------------
 #
-# Both engines key a coefficient c*A^a*B^b of Z[A^+-1, B] as a * _B_SPAN + b.
-# B's exponent stays below the word length plus ten, far below _B_SPAN, so
-# each key names one monomial, multiplying by a monomial adds a constant to
-# every key, and divmod(key, _B_SPAN) gives back (a, b).
+# The search and the table key a coefficient c*A^a*B^b of Z[A^+-1, B] as
+# a * _B_SPAN + b; the Hecke product keys it by b alone as it multiplies and
+# packs its keys the same way once, at the end.  B's exponent stays below the
+# word length plus ten, far below _B_SPAN, so each key names one monomial,
+# multiplying by a monomial adds a constant to every key, and
+# divmod(key, _B_SPAN) gives back (a, b).
 
 _B_SPAN = 1 << 40
 _UNSEEN, _GOOD, _GONE = 0, 1, 2
@@ -136,6 +144,10 @@ _LEAF_BUDGET = 1_200_000
 # letters that the node words of one tree may hold between them: the tree
 # of 2: -1 x21 (28,657 leaves) holds 689,587, that of x22 1,167,051
 _TREE_LETTER_BUDGET = 1_000_000
+# strands of one word: the walks take time and memory linear in the strand
+# count, and on 10,000,000 strands resolve took 5.3 s and 0.8 GB, tree (the
+# slowest) 8.4 s and 1.2 GB; past 2**63 they overflow a C index
+_STRAND_BUDGET = 10_000_000
 
 
 class BudgetError(ValueError):
@@ -250,51 +262,50 @@ _TABLES: dict[tuple[int, int], list[tuple[tuple[int, int, int], ...] | None]] = 
 
 @functools.cache
 def _group(n: int):
-    """The permutations of n; for each generator i, the pairs (w, w*s_i) of
-    their indices with w(i) < w(i+1); the partitions of n, and the index of
-    each partition."""
+    """The permutations of n and the length (inversion count) of each; for
+    each generator i, the pairs (w, w*s_i) of their indices with
+    w(i) < w(i+1); the partitions of n, and the index of each partition."""
     perms = list(itertools.permutations(range(n)))
+    lengths = [sum(x > y for x, y in itertools.combinations(w, 2)) for w in perms]
     index = {w: k for k, w in enumerate(perms)}
     pairs = [[(k, index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]])
               for k, w in enumerate(perms) if w[i] < w[i + 1]]
              for i in range(n - 1)]
     parts_list = partitions_of(n)
-    return perms, pairs, parts_list, {parts: k for k, parts in enumerate(parts_list)}
-
-
-def _add_shifted(into: dict[int, int], terms: dict[int, int], shift: int, sign: int):
-    """into += sign * (monomial with key ``shift``) * terms, dropping zeros."""
-    for k, c in terms.items():
-        k += shift
-        c = into.get(k, 0) + sign * c
-        if c:
-            into[k] = c
-        else:
-            del into[k]
+    return perms, lengths, pairs, parts_list, {parts: k for k, parts in enumerate(parts_list)}
 
 
 def _hecke_product(word: BraidWord) -> list[dict[int, int]]:
-    """The word as an element of H_n: its coefficient on each T_w, by
-    permutation index."""
-    perms, pairs, _, _ = _group(word.strand_count)
-    element: list[dict[int, int]] = [{} for _ in perms]
+    """The word in H_n: its coefficient on each T_w, keyed as in :func:`_walk`.
+
+    Each monomial A^a*B^b on T_w has 2a + b + l(w) = e, the writhe, where l(w)
+    is the length of w.  It holds on T_1, and with lo = w and hi = w*s_i each
+    product moves 2a + b + l by the letter's sign: T_lo*T_i = T_hi (l + 1),
+    T_hi*T_i = B*T_hi + A*T_lo (b + 1; a + 1, l - 1), T_hi*T_i^-1 = T_lo (l - 1)
+    and T_lo*T_i^-1 = A^-1*T_hi - A^-1*B*T_lo (a - 1, l + 1; a - 1, b + 1).  So
+    only b is carried: a letter maps (p, q) on (T_lo, T_hi) to (q, p + B*q) if
+    positive, (q - B*p, p) if negative; a = (e - l(w) - b) / 2 is put back last.
+    """
+    _, lengths, pairs, _, _ = _group(word.strand_count)
+    element: list[dict[int, int]] = [{} for _ in lengths]
     element[0][0] = 1  # T of the identity
-    for letter in word.letters:
-        for lo, hi in pairs[letter.index - 1]:
+    for index, sign, _ in word.letters:
+        for lo, hi in pairs[index - 1]:
             p, q = element[lo], element[hi]
             if not (p or q):
                 continue
-            if letter.sign > 0:
-                # T_lo*T_i = T_hi and T_hi*T_i = B*T_hi + A*T_lo
-                element[lo] = {k + _B_SPAN: c for k, c in q.items()}
-                _add_shifted(p, q, 1, 1)
-                element[hi] = p
-            else:
-                # T_lo*T_i^-1 = A^-1*T_hi - A^-1*B*T_lo and T_hi*T_i^-1 = T_lo
-                element[hi] = {k - _B_SPAN: c for k, c in p.items()}
-                _add_shifted(q, p, 1 - _B_SPAN, -1)
-                element[lo] = q
-    return element
+            into, terms = (p, q) if sign > 0 else (q, p)
+            for b, c in terms.items():
+                b += 1
+                c = into.get(b, 0) + sign * c
+                if c:
+                    into[b] = c
+                else:
+                    del into[b]
+            element[lo], element[hi] = q, p
+    writhe = sum(letter.sign for letter in word.letters)
+    return [{((writhe - length - b) >> 1) * _B_SPAN + b: c for b, c in coeff.items()}
+            if coeff else coeff for coeff, length in zip(element, lengths)]
 
 
 def _reduced_word(w: tuple[int, ...]) -> list[int]:
@@ -313,7 +324,7 @@ def _reduced_word(w: tuple[int, ...]) -> list[int]:
 
 def _dot(element: list[dict[int, int]], n: int, basepoint: int) -> SkeinVector:
     """resolve of an element of H_n, from the table of resolve(T_w)."""
-    perms, _, parts_list, where = _group(n)
+    perms, _, _, parts_list, where = _group(n)
     table = _TABLES.get((n, basepoint))
     if table is None:
         table = _TABLES[n, basepoint] = [None] * len(perms)

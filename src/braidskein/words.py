@@ -71,7 +71,7 @@ class BraidWord(_Word):
             if letter.crossing_id in seen_ids:
                 raise WordError(f"duplicate crossing id {letter.crossing_id}")
             seen_ids.add(letter.crossing_id)
-        return super().__new__(cls, strand_count, letters)
+        return super().__new__(cls, int(strand_count), letters)
 
     def __reduce__(self):
         return BraidWord, (self.strand_count, self.letters)
@@ -231,7 +231,7 @@ def _word(n: int, signed: Iterable[int], out_of_range) -> BraidWord:
             letters.append(new(Letter, (-s, -1, k)))
         else:
             raise WordError(out_of_range(k))
-    return BraidWord._make((n, tuple(letters)))
+    return BraidWord._make((int(n), tuple(letters)))
 
 
 def signed_words(n: int, max_len: int) -> Iterator[tuple[int, ...]]:

@@ -238,6 +238,9 @@ def test_selftest_quick_json(capsys):
     # over the search's leaf budget
     ("resolve", "6: -1 -3 -3 5 -5 -5 -4 5 5 5 1 -3 3 4 -5 -2 -1 -3 -2 5 -4 5 5 3 2 4 "
                 "-4 4 4 3 4 -3 -5 4 3 3 -4 5 -3 -2"),
+    # over the strand budget
+    *((command, "99999999999999999999: 1") for command in (
+        "resolve", "labels", "tree", "parity", "nugatory", "homfly", "mfw", "jones")),
 ])
 def test_bad_inputs_exit_two(capsys, argv):
     assert run(capsys, *argv)[0] == 2

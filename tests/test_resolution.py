@@ -256,6 +256,20 @@ def test_hecke_path_covers_one_to_five_strands():
     assert {n for n, _ in resolution._TABLES} == {1, 2, 3, 4, 5}
 
 
+@given(st.one_of(st.just(BraidWord(1, [])), gapped_words(max_strands=5, max_len=20)))
+@settings(deadline=None)
+def test_hecke_product_is_graded(w):
+    # every monomial A^a*B^b on T_w has 2a + b + l(w) = writhe; a term off
+    # the grading would have its a silently floored by the product's >> 1
+    perms = resolution._group(w.strand_count)[0]
+    writhe = sum(letter.sign for letter in w.letters)
+    for perm, coeff in zip(perms, resolution._hecke_product(w)):
+        length = len(resolution._reduced_word(perm))
+        for key, c in coeff.items():
+            a, b = divmod(key, resolution._B_SPAN)
+            assert c != 0 and 2 * a + b + length == writhe
+
+
 def test_search_stops_at_its_leaf_budget(monkeypatch):
     # six strands run the search, which pops a leaf per leaf of the tree
     w = parse_word("6: -1 -2 -3 -4 -5 -1 -2 -3 -4 -5")
@@ -265,6 +279,15 @@ def test_search_stops_at_its_leaf_budget(monkeypatch):
     monkeypatch.setattr(resolution, "_LEAF_BUDGET", leaves - 1)
     with pytest.raises(BudgetError, match=f"budget of {leaves - 1} leaves"):
         resolve(w)
+
+
+def test_every_walk_stops_at_the_strand_budget(monkeypatch):
+    monkeypatch.setattr(resolution, "_STRAND_BUDGET", 3)
+    assert resolve(parse_word("3: 1 -2")) == tree_vector(resolution_tree(parse_word("3: 1 -2")))
+    w = parse_word("4: 1 -2")
+    for walk in (resolve, label_only, resolution_tree):
+        with pytest.raises(BudgetError, match="4 strands exceed the budget of 3 strands"):
+            walk(w)
 
 
 # -- the search's leaf sums --------------------------------------------------------

@@ -140,6 +140,10 @@ def test_bool_letters_stay_accepted():
 def test_bool_strand_counts_follow_the_letters_rule():
     # a bool is an int, as for letters: True is one strand, False is too few
     assert BraidWord(True, []) == BraidWord.from_signed(True, []) == parse_word("1:")
+    # stored as the int 1, so the word prints as "1:" and parses back
+    for word in (BraidWord(True, []), BraidWord.from_signed(True, [])):
+        assert type(word.strand_count) is int
+        assert parse_word(word.format()) == word
     for build in (lambda: BraidWord(False, []), lambda: BraidWord.from_signed(False, [])):
         with pytest.raises(WordError, match="strand count must be >= 1, got False"):
             build()
