@@ -343,9 +343,7 @@ def _dot(element: list[dict[int, int]], n: int, basepoint: int) -> SkeinVector:
             for k, d in coeff.items():
                 k += shift
                 out[k] = out.get(k, 0) + c * d
-    # partition indices run in partition order, largest part first
-    return SkeinVector._in_order(n, {parts_list[p]: poly for p in sorted(totals)
-                                     if (poly := _laurent(totals[p]))})
+    return SkeinVector._of(n, {parts_list[p]: _laurent(out) for p, out in totals.items()})
 
 
 # -- entry points ------------------------------------------------------------------

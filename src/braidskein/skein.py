@@ -49,10 +49,6 @@ class Laurent:
         return value
 
     @classmethod
-    def monomial(cls, coeff: int, e1: int = 0, e2: int = 0):
-        return cls({(e1, e2): coeff})
-
-    @classmethod
     def zero(cls):
         return cls()
 
@@ -172,10 +168,10 @@ class LaurentAB(Laurent):
         return b, a
 
 
-A = LaurentAB.monomial(1, 1, 0)
-A_INV = LaurentAB.monomial(1, -1, 0)
-B = LaurentAB.monomial(1, 0, 1)
-NEG_A_INV_B = LaurentAB.monomial(-1, -1, 1)
+A = LaurentAB({(1, 0): 1})
+A_INV = LaurentAB({(-1, 0): 1})
+B = LaurentAB({(0, 1): 1})
+NEG_A_INV_B = LaurentAB({(-1, 1): -1})
 
 
 def partition_str(parts: tuple[int, ...]) -> str:
@@ -207,15 +203,9 @@ class SkeinVector:
     @classmethod
     def _of(cls, strand_count: int, entries: dict[tuple[int, ...], LaurentAB]) -> SkeinVector:
         """Like the constructor, on entries keyed by partitions of strand_count, unchecked."""
-        return cls._in_order(strand_count, {p: entries[p] for p in sorted(entries, reverse=True)
-                                            if entries[p]})
-
-    @classmethod
-    def _in_order(cls, strand_count: int, entries: dict[tuple[int, ...], LaurentAB]) -> SkeinVector:
-        """A vector on zero-free entries that the caller built in partition order, unchecked."""
         vector = object.__new__(cls)
         vector.strand_count = strand_count
-        vector._entries = entries
+        vector._entries = {p: entries[p] for p in sorted(entries, reverse=True) if entries[p]}
         return vector
 
     @staticmethod
@@ -236,15 +226,12 @@ class SkeinVector:
     def __hash__(self) -> int:
         return hash((self.strand_count, frozenset(self._entries.items())))
 
-    def _check_like(self, other: SkeinVector):
+    def __add__(self, other: SkeinVector) -> SkeinVector:
         if self.strand_count != other.strand_count:
             raise DimensionError(
                 f"cannot combine vectors on {self.strand_count} and "
                 f"{other.strand_count} strands"
             )
-
-    def __add__(self, other: SkeinVector) -> SkeinVector:
-        self._check_like(other)
         out = dict(self._entries)
         for parts, poly in other._entries.items():
             out[parts] = out.get(parts, LaurentAB.zero()) + poly

@@ -29,15 +29,24 @@ def _power_block(index: int, power: int) -> list[int]:
     return [step] * abs(power)
 
 
+# letters that one flype side may have: resolving a side takes time quadratic
+# in its length, 0.7 s at 2,001 letters and 3.8-4.9 s at 3,001
+_FLYPE_LETTERS = 3_000
+
+
 def flype_pair(a: int, b: int, c: int, eps: int) -> tuple[BraidWord, BraidWord]:
     """The two sides of the three-strand flype with power blocks a, b, c
     and a lone crossing of sign eps, which must be +1 or -1.
 
     Left side: s1^a s2^b s1^c s2^eps.  Right side swaps the b-block and the
-    eps crossing: s1^a s2^eps s1^c s2^b.  Closures are the same link.
+    eps crossing: s1^a s2^eps s1^c s2^b.  Closures are the same link.  Sides
+    of more than :data:`_FLYPE_LETTERS` letters raise :class:`BudgetError`.
     """
     if eps not in (1, -1):
         raise ValueError(f"eps must be +1 or -1, got {eps}")
+    if (letters := abs(a) + abs(b) + abs(c) + 1) > _FLYPE_LETTERS:
+        raise BudgetError(f"a flype side of {letters:,} letters exceeds its budget of "
+                          f"{_FLYPE_LETTERS:,} letters")
     left = _power_block(1, a) + _power_block(2, b) + _power_block(1, c) + [2 * eps]
     right = _power_block(1, a) + [2 * eps] + _power_block(1, c) + _power_block(2, b)
     return BraidWord.from_signed(3, left), BraidWord.from_signed(3, right)

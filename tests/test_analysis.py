@@ -42,7 +42,7 @@ def test_bfree_exponent_rejects_malformed():
     with pytest.raises(MalformedVectorError):
         bfree_exponent(SkeinVector(2, {(2,): A, (1, 1): LaurentAB.one()}))
     with pytest.raises(MalformedVectorError):
-        bfree_exponent(SkeinVector(2, {(2,): LaurentAB.monomial(2, 1, 0)}))
+        bfree_exponent(SkeinVector(2, {(2,): LaurentAB({(1, 0): 2})}))
 
 
 def test_parity_report_format():

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import braidskein
 from braidskein import cli
@@ -241,6 +244,10 @@ def test_selftest_quick_json(capsys):
     # over the strand budget
     *((command, "99999999999999999999: 1") for command in (
         "resolve", "labels", "tree", "parity", "nugatory", "homfly", "mfw", "jones")),
+    # over the bridge's parts budget
+    *((command, "5002: 1") for command in ("homfly", "mfw", "jones")),
+    # over the flype's letter budget; past 2**63 letters it overflowed a C index
+    ("flype-test", "99999999999999999999", "0", "0", "1"),
 ])
 def test_bad_inputs_exit_two(capsys, argv):
     assert run(capsys, *argv)[0] == 2
@@ -290,3 +297,43 @@ def test_closed_stdout_exits_quietly():
     child.stderr.close()
     assert child.wait(timeout=60) == 0
     assert err == b""
+
+
+# -- the exit-code contract under fuzzing -------------------------------------------
+
+WORDS = [
+    "2: 1 1 1", "3: 1 -2 1 -2", "1:", "3:", "2: -1", "4: 1 -3 2", "3: 2 2 -1",
+    # bad words
+    "2: 3", "2: 0", "0:", "-5: 1", "xyz", "", "3: 1 \u0662", "3: 1_0",
+    # past the strand budget, and past the bridge's parts budget
+    "99999999999999999999: 1", "5002: 1",
+]
+# the last is past every budget and past a C index
+NUMBERS = ["-1", "0", "1", "2", "xyz", "99999999999999999999"]
+OPTIONS = ["--json", "--basepoint", "--quick", "--max-len", "--help"]
+# the argument slots of each command; every example stays fast, so selftest
+# runs at its quick scale and the exchange search at --max-len 2 or less, or
+# past its pair budget (its default is 3)
+SLOTS = {
+    **dict.fromkeys(["resolve", "labels", "tree", "parity", "nugatory", "homfly", "jones",
+                     "mfw", "certify3"], [WORDS]),
+    "odd-change": [WORDS, NUMBERS, NUMBERS],
+    "flype-test": [NUMBERS, NUMBERS, NUMBERS, ["1", "-1", "0", "2"]],
+    "exchange-test": [WORDS, WORDS],
+    "exchange-search": [["--max-len"], ["-1", "0", "1", "2", "99999999999999999999"]],
+    "selftest": [["--quick"]],
+}
+argvs = st.sampled_from(sorted(SLOTS)).flatmap(lambda command: st.tuples(
+    st.just([command]), st.tuples(*(st.sampled_from(pool) for pool in SLOTS[command])),
+    st.lists(st.sampled_from(WORDS + NUMBERS + OPTIONS), max_size=3),
+)).map(lambda parts: [*parts[0], *parts[1], *parts[2]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(argvs)
+def test_every_argv_keeps_the_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "internal error" not in err.getvalue()

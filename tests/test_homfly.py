@@ -21,7 +21,7 @@ from braidskein.homfly import (
     to_homfly,
 )
 from braidskein.resolution import BudgetError, resolve
-from braidskein.skein import A, A_INV, B, LaurentAB, SkeinVector
+from braidskein.skein import A, A_INV, B, NEG_A_INV_B, LaurentAB, SkeinVector
 from braidskein.words import BraidWord, basis_braid, parse_word, partitions_of
 
 from test_skein import polys
@@ -67,6 +67,14 @@ def test_json_term_order():
     assert list(ab.to_json_dict().items()) == [("1,0", 1), ("-1,1", 1), ("0,2", 1)]
     assert list(TREFOIL.to_json_dict().items()) == [("-4,0", -1), ("-2,0", -2), ("-2,2", 1)]
     assert list(jones(TREFOIL).to_json_dict().items()) == [("2", 1), ("6", 1), ("8", -1)]
+    # negative exponents, and the unit and zero of each type
+    assert list((TREFOIL * DELTA).to_json_dict().items()) == [
+        ("-5,-1", 1), ("-3,-1", 3), ("-3,1", -1), ("-1,-1", 2), ("-1,1", -1)]
+    assert list(jones(DELTA).to_json_dict().items()) == [("-1", -1), ("1", -1)]
+    assert NEG_A_INV_B.to_json_dict() == {"-1,1": -1}
+    for poly_type, unit in ((LaurentAB, "0,0"), (HomflyPoly, "0,0"), (JonesPoly, "0")):
+        assert poly_type.one().to_json_dict() == {unit: 1}
+        assert poly_type.zero().to_json_dict() == {}
     assert LaurentAB.one() != HomflyPoly.one()
 
 
@@ -119,6 +127,16 @@ def test_jones_on_wide_unlink_patterns():
     k = 3998
     wide = {k - 2 * j: (-1) ** k * comb(k, j) for j in range(k + 1)}
     assert jones(to_homfly(resolve(parse_word("4000: 1")))).terms() == wide
+
+
+def test_bridge_stops_at_its_parts_budget(monkeypatch):
+    # 6: 1 resolves to one entry of five parts, whose image is DELTA^4
+    vector = resolve(parse_word("6: 1"))
+    monkeypatch.setattr(homfly, "_BRIDGE_PARTS", 5)
+    assert to_homfly(vector) == DELTA * DELTA * DELTA * DELTA
+    monkeypatch.setattr(homfly, "_BRIDGE_PARTS", 4)
+    with pytest.raises(BudgetError, match="^an entry of 5 parts exceeds the bridge's budget of 4 parts$"):
+        to_homfly(vector)
 
 
 def horner_bridge(vector: SkeinVector) -> HomflyPoly:
@@ -276,7 +294,7 @@ def test_jones_reference_values():
 
 def test_jones_rejects_odd_exponent_sums():
     with pytest.raises(ValueError):
-        jones(HomflyPoly.monomial(1, 1, 0))
+        jones(HomflyPoly({(1, 0): 1}))
 
 
 def test_jones_rejects_a_remainder():
@@ -293,10 +311,10 @@ def test_jones_is_a_ring_map():
     assert jones(FIGURE_EIGHT * FIGURE_EIGHT) == jones(FIGURE_EIGHT) * jones(FIGURE_EIGHT)
 
 
-def test_jones_monomial():
-    assert JonesPoly.monomial(3, 2).format() == "3*t"
-    assert JonesPoly.monomial(-1, -1) == JonesPoly({-1: -1})
-    assert JonesPoly.monomial(1) == JonesPoly.one()
+def test_jones_format():
+    assert JonesPoly({2: 3}).format() == "3*t"
+    assert JonesPoly({-1: -1}).format() == "-t^(-1/2)"
+    assert JonesPoly({0: 1}) == JonesPoly.one()
 
 
 def test_jones_rejects_what_no_link_has():

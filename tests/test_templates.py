@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from braidskein import templates
 from braidskein.analysis import bad_counts
 from braidskein.homfly import homfly_oracle
 from braidskein.resolution import BudgetError, resolve
@@ -41,6 +42,14 @@ def test_flype_pair_negative_powers():
 def test_flype_degenerate_when_b_equals_eps():
     left, right = flype_pair(2, 1, -1, 1)
     assert left.signed_indices() == right.signed_indices()
+
+
+def test_flype_stops_at_its_letter_budget(monkeypatch):
+    monkeypatch.setattr(templates, "_FLYPE_LETTERS", 7)
+    left, right = flype_pair(2, -3, 1, 1)
+    assert len(left.letters) == len(right.letters) == 7
+    with pytest.raises(BudgetError, match="^a flype side of 8 letters exceeds its budget of 7 letters$"):
+        flype_pair(2, -3, -2, 1)
 
 
 def test_flype_validates_eps():
