@@ -134,7 +134,7 @@ def homfly_oracle(word: BraidWord) -> HomflyPoly:
     """Polynomial of the closure, computed independently of the resolution.
     Past :data:`_ORACLE_BUDGET` diagrams it raises :class:`BudgetError`."""
     sums: dict[int, dict[tuple[int, int], int]] = {}
-    stack = [(tuple((l.index, l.sign) for l in word.letters), 1, 0, 0)]
+    stack = [(tuple([(l.index, l.sign) for l in word.letters]), 1, 0, 0)]
     popped = 0
     while stack:
         popped += 1

@@ -41,7 +41,19 @@ product carries only B's exponent and puts A's back at the end, from the
 writhe and the length of w (:func:`_hecke_product`).  The table holds n*n!
 entries per strand count, 719 through five strands; a sixth strand alone
 would add 4320, and a product step there touches 360 pairs per letter, so
-wider words keep the search.
+wider words keep the search.  The B-degrees of the coefficients grow with
+the word, so the product's work grows like the square of the length times
+n!, and it stops at :data:`_HECKE_BUDGET`.
+
+Before either engine runs, :func:`resolve` cancels each letter against a
+later inverse letter across letters that commute with it, in one linear
+pass (:meth:`BraidWord.free_reduce`); that is an identity in H_n (Jones,
+Ann. Math. 126, 1987), so on up to five strands it holds by construction,
+and on six or more the search on the cancelled word equals the search on
+the word as given on every word the tests try, at every basepoint.  Only
+:func:`resolve` and :func:`compare_basepoints` cancel: the labels and the
+tree show the diagram's own crossings, and :func:`_walk` takes the word as
+given, so it stays the reference for both engines.
 """
 
 from __future__ import annotations
@@ -49,10 +61,10 @@ from __future__ import annotations
 import enum
 import functools
 import itertools
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .skein import A, A_INV, B, NEG_A_INV_B, LaurentAB, SkeinVector
-from .words import BraidWord, Letter, WordError, cycle_type, partitions_of, permutation
+from .words import BraidWord, Letter, WordError, _cancel_pairs, cycle_type, partitions_of, permutation
 
 
 class Label(enum.Enum):
@@ -158,18 +170,18 @@ def _laurent(terms: dict[int, int]) -> LaurentAB:
     return LaurentAB._of({divmod(k, _B_SPAN): c for k, c in terms.items() if c})
 
 
-def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, int]]:
-    """The resolution as {partition: {monomial key: coeff}}, by a
-    depth-first search that continues in place past each branch point.
+def _walk(n: int, indices: list[int], signs: list[int],
+          basepoint: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """The resolution of the n-strand word with these letter indices and
+    signs as {partition: {monomial key: coeff}}, by a depth-first search
+    that continues in place past each branch point.
 
     Each leaf adds its path sign to a bucket keyed by the linked list of
     the sizes it closed, in walk order; once the search ends, each distinct
     list becomes its partition (parts sorted, idle strands appended) and
     buckets that name the same partition merge.  Past :data:`_LEAF_BUDGET`
     leaves it raises :class:`BudgetError`."""
-    n = word.strand_count
-    indices = tuple(l.index for l in word.letters)
-    positive = tuple(l.sign > 0 for l in word.letters)
+    positive = [sign > 0 for sign in signs]
     length = len(indices)
     end = 2 * length
     first, after = _links(indices, n)
@@ -255,6 +267,12 @@ def _walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, in
 # -- Hecke product ----------------------------------------------------------------
 
 _HECKE_MAX_STRANDS = 5
+# letters squared times n! that one product may cost: the work tracks this at
+# 3.2e-8 to 5.6e-8 s a unit on two cores (2,000 random positive letters took
+# 0.81-1.36 s on three strands, 600 took 1.37 s on five), so the budget takes
+# 6-10 s; a flype side, at most 3,000 letters on three strands, costs at most
+# 54,000,000
+_HECKE_BUDGET = 180_000_000
 # (n, basepoint) -> per permutation index, None until first read, else the
 # (partition index, monomial key, coeff) terms of resolve(T_w)
 _TABLES: dict[tuple[int, int], list[tuple[tuple[int, int, int], ...] | None]] = {}
@@ -275,8 +293,10 @@ def _group(n: int):
     return perms, lengths, pairs, parts_list, {parts: k for k, parts in enumerate(parts_list)}
 
 
-def _hecke_product(word: BraidWord) -> list[dict[int, int]]:
-    """The word in H_n: its coefficient on each T_w, keyed as in :func:`_walk`.
+def _hecke_product(n: int, indices: list[int], signs: list[int]) -> list[dict[int, int]]:
+    """The n-strand word with these letter indices and signs in H_n: its
+    coefficient on each T_w, keyed as in :func:`_walk`.  Past
+    :data:`_HECKE_BUDGET` it raises :class:`BudgetError` before it starts.
 
     Each monomial A^a*B^b on T_w has 2a + b + l(w) = e, the writhe, where l(w)
     is the length of w.  It holds on T_1, and with lo = w and hi = w*s_i each
@@ -286,10 +306,13 @@ def _hecke_product(word: BraidWord) -> list[dict[int, int]]:
     only b is carried: a letter maps (p, q) on (T_lo, T_hi) to (q, p + B*q) if
     positive, (q - B*p, p) if negative; a = (e - l(w) - b) / 2 is put back last.
     """
-    _, lengths, pairs, _, _ = _group(word.strand_count)
+    _, lengths, pairs, _, _ = _group(n)
+    if (cost := len(indices) ** 2 * len(lengths)) > _HECKE_BUDGET:
+        raise BudgetError(f"{len(indices):,} letters on {n} strands cost {cost:,}, past the "
+                          f"Hecke product's budget of {_HECKE_BUDGET:,} (letters squared times n!)")
     element: list[dict[int, int]] = [{} for _ in lengths]
     element[0][0] = 1  # T of the identity
-    for index, sign, _ in word.letters:
+    for index, sign in zip(indices, signs):
         for lo, hi in pairs[index - 1]:
             p, q = element[lo], element[hi]
             if not (p or q):
@@ -303,7 +326,7 @@ def _hecke_product(word: BraidWord) -> list[dict[int, int]]:
                 else:
                     del into[b]
             element[lo], element[hi] = q, p
-    writhe = sum(letter.sign for letter in word.letters)
+    writhe = sum(signs)
     return [{((writhe - length - b) >> 1) * _B_SPAN + b: c for b, c in coeff.items()}
             if coeff else coeff for coeff, length in zip(element, lengths)]
 
@@ -333,7 +356,8 @@ def _dot(element: list[dict[int, int]], n: int, basepoint: int) -> SkeinVector:
         coeff = element[w]
         entry = table[w]
         if entry is None:
-            walked = _walk(BraidWord.from_signed(n, _reduced_word(perms[w])), basepoint)
+            letters = _reduced_word(perms[w])
+            walked = _walk(n, letters, [1] * len(letters), basepoint)
             entry = table[w] = tuple((where[parts], k, c) for parts, terms in walked.items()
                                      for k, c in terms.items() if c)
         for p, shift, c in entry:
@@ -359,27 +383,44 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
     this package are about that choice.  What every basepoint shares is the
     framed-link polynomial obtained through the bridge module.
 
-    On one to five strands the word is multiplied out in the Hecke algebra
+    First each letter cancels against a later inverse letter across
+    letters that commute with it (:meth:`BraidWord.free_reduce`).  On one
+    to five strands the word is then multiplied out in the Hecke algebra
     and dotted with the table of basis resolutions, so the work grows
-    polynomially with the word length; on six or more it runs the
-    depth-first search, whose work grows exponentially with it, because the
-    table would have n*n! entries (see the module docstring), and stops
-    with :class:`BudgetError` past :data:`_LEAF_BUDGET` leaves.
+    polynomially with the word length, and stops with
+    :class:`BudgetError` past :data:`_HECKE_BUDGET`; on six or more it runs
+    the depth-first search, whose work grows exponentially with it,
+    because the table would have n*n! entries (see the module docstring),
+    and stops with :class:`BudgetError` past :data:`_LEAF_BUDGET` leaves.
     """
     _check_basepoint(word, basepoint)
     n = word.strand_count
+    indices, signs = _lists(_cancel_pairs(word.letters))
     if n <= _HECKE_MAX_STRANDS:
-        return _dot(_hecke_product(word), n, basepoint)
-    return SkeinVector._of(n, {parts: _laurent(terms) for parts, terms in _walk(word, basepoint).items()})
+        return _dot(_hecke_product(n, indices, signs), n, basepoint)
+    return _search_vector(n, indices, signs, basepoint)
 
 
 def compare_basepoints(word: BraidWord) -> dict[int, SkeinVector]:
     """Resolution from every basepoint, for inspecting how they differ."""
+    _check_basepoint(word, 1)
     n = word.strand_count
+    indices, signs = _lists(_cancel_pairs(word.letters))
     if n <= _HECKE_MAX_STRANDS:
-        element = _hecke_product(word)
+        element = _hecke_product(n, indices, signs)
         return {bp: _dot(element, n, bp) for bp in range(1, n + 1)}
-    return {bp: resolve(word, bp) for bp in range(1, n + 1)}
+    return {bp: _search_vector(n, indices, signs, bp) for bp in range(1, n + 1)}
+
+
+def _lists(letters: Sequence[Letter]) -> tuple[list[int], list[int]]:
+    """The letters' indices and signs, as the engines take them."""
+    return [l.index for l in letters], [l.sign for l in letters]
+
+
+def _search_vector(n: int, indices: list[int], signs: list[int], basepoint: int) -> SkeinVector:
+    """The search's resolution as a vector."""
+    walked = _walk(n, indices, signs, basepoint)
+    return SkeinVector._of(n, {parts: _laurent(terms) for parts, terms in walked.items()})
 
 
 # -- explicit tree ----------------------------------------------------------------

@@ -96,7 +96,7 @@ class BraidWord(_Word):
     # -- formatting --------------------------------------------------------
 
     def signed_indices(self) -> tuple[int, ...]:
-        return tuple(l.index * l.sign for l in self.letters)
+        return tuple([l.index * l.sign for l in self.letters])
 
     def format(self) -> str:
         """Inverse of :func:`parse_word`: ``"n: i1 i2 ... ik"``."""
@@ -110,19 +110,15 @@ class BraidWord(_Word):
     # -- simple queries ----------------------------------------------------
 
     def crossing_ids(self) -> tuple[int, ...]:
-        return tuple(l.crossing_id for l in self.letters)
+        return tuple([l.crossing_id for l in self.letters])
 
     # -- moves -------------------------------------------------------------
 
     def free_reduce(self) -> BraidWord:
-        """Cancel adjacent sigma_i sigma_i^{-1} pairs until none remain."""
-        stack: list[Letter] = []
-        for letter in self.letters:
-            if stack and stack[-1].index == letter.index and stack[-1].sign == -letter.sign:
-                stack.pop()
-            else:
-                stack.append(letter)
-        return self._replace(letters=tuple(stack))
+        """Cancel each sigma_i^e against a later sigma_i^-e across letters
+        that commute with sigma_i, until no such pair remains (see
+        :func:`_cancel_pairs`); the kept letters keep their ids."""
+        return self._replace(letters=tuple(_cancel_pairs(self.letters)))
 
     def apply_braid_relation_at(self, position: int) -> BraidWord:
         """Rewrite by the braid relation whose pattern starts at ``position``.
@@ -175,10 +171,47 @@ class BraidWord(_Word):
 
     def delete_crossing(self, crossing_id: int) -> BraidWord:
         """Remove one crossing (the oriented smoothing of the skein relation)."""
-        out = tuple(l for l in self.letters if l.crossing_id != crossing_id)
+        out = tuple([l for l in self.letters if l.crossing_id != crossing_id])
         if len(out) == len(self.letters):
             raise MoveError(f"no crossing with id {crossing_id}")
         return self._replace(letters=out)
+
+
+def _cancel_pairs(letters: Sequence[Letter]) -> Sequence[Letter]:
+    """The letters left once each sigma_i^e has cancelled against a later
+    sigma_i^-e such that every letter left between them commutes with
+    sigma_i, that is, sits on a generator j with |j - i| >= 2.
+
+    T_i*T_i^-1 = 1 and T_i*T_j = T_j*T_i for |i - j| >= 2 in the Hecke
+    algebra, so the cancelled word is the same element there.  One pass
+    keeps a stack of kept positions per generator: a letter cancels the top
+    of its own generator's stack when that top has the other sign and
+    neither neighbour generator i - 1, i + 1 has a kept letter after it.
+    No pair that the rule would cancel is left: the first letter of such a
+    pair would have been that top, with no neighbour after it, when the
+    second came.  A word in which no generator occurs with both signs is
+    returned as it is.
+    """
+    negative = [l.index for l in letters if l.sign < 0]
+    if (len(negative) in (0, len(letters))
+            or {l.index for l in letters if l.sign > 0}.isdisjoint(negative)):
+        return letters
+    stacks: dict[int, list[int]] = {}
+    gone = bytearray(len(letters))
+    for k, (i, sign, _) in enumerate(letters):
+        stack = stacks.get(i)
+        if not stack:
+            stacks[i] = [k]
+            continue
+        top = stack[-1]
+        below, above = stacks.get(i - 1), stacks.get(i + 1)
+        if (letters[top].sign != sign and not (below and below[-1] > top)
+                and not (above and above[-1] > top)):
+            stack.pop()
+            gone[top] = gone[k] = 1
+        else:
+            stack.append(k)
+    return [l for l, g in zip(letters, gone) if not g]
 
 
 _MAX_DIGITS = 4300  # the interpreter's default limit for text to int

@@ -238,9 +238,8 @@ def test_selftest_quick_json(capsys):
     ("resolve", "3: 1 \u0662"),
     ("exchange-search", "--max-len", "-1"),
     ("tree", "2:" + " -1" * 300),  # over the tree's letter budget
-    # over the search's leaf budget
-    ("resolve", "6: -1 -3 -3 5 -5 -5 -4 5 5 5 1 -3 3 4 -5 -2 -1 -3 -2 5 -4 5 5 3 2 4 "
-                "-4 4 4 3 4 -3 -5 4 3 3 -4 5 -3 -2"),
+    # over the search's leaf budget; each generator has one sign, so no pair cancels
+    ("resolve", "6:" + " 1 -2 3 -4 5" * 8),
     # over the strand budget
     *((command, "99999999999999999999: 1") for command in (
         "resolve", "labels", "tree", "parity", "nugatory", "homfly", "mfw", "jones")),
@@ -248,6 +247,8 @@ def test_selftest_quick_json(capsys):
     *((command, "5002: 1") for command in ("homfly", "mfw", "jones")),
     # over the flype's letter budget; past 2**63 letters it overflowed a C index
     ("flype-test", "99999999999999999999", "0", "0", "1"),
+    # over the Hecke product's budget
+    ("resolve", "5:" + " 1 2 3 4" * 500),
 ])
 def test_bad_inputs_exit_two(capsys, argv):
     assert run(capsys, *argv)[0] == 2

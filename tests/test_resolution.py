@@ -51,6 +51,11 @@ def hecke2_vector(word: BraidWord) -> SkeinVector:
     return SkeinVector(2, {(1, 1): u, (2,): v})
 
 
+def walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, int]]:
+    """The search on the word as given, with nothing cancelled."""
+    return _walk(word.strand_count, *resolution._lists(word.letters), basepoint)
+
+
 # -- independent row-scan walk -------------------------------------------------
 #
 # The engine's walks follow successor links.  This walker finds each next
@@ -213,7 +218,7 @@ def test_hecke_path_equals_the_search_exhaustively():
             word = BraidWord.from_signed(n, signed)
             for bp, vector in compare_basepoints(word).items():
                 got = {parts: poly.terms() for parts, poly in vector.entries().items()}
-                want = {parts: nonzero for parts, terms in _walk(word, bp).items()
+                want = {parts: nonzero for parts, terms in walk(word, bp).items()
                         if (nonzero := {divmod(k, resolution._B_SPAN): c
                                         for k, c in terms.items() if c})}
                 if got != want:
@@ -263,7 +268,8 @@ def test_hecke_product_is_graded(w):
     # the grading would have its a silently floored by the product's >> 1
     perms = resolution._group(w.strand_count)[0]
     writhe = sum(letter.sign for letter in w.letters)
-    for perm, coeff in zip(perms, resolution._hecke_product(w)):
+    element = resolution._hecke_product(w.strand_count, *resolution._lists(w.letters))
+    for perm, coeff in zip(perms, element):
         length = len(resolution._reduced_word(perm))
         for key, c in coeff.items():
             a, b = divmod(key, resolution._B_SPAN)
@@ -288,6 +294,69 @@ def test_every_walk_stops_at_the_strand_budget(monkeypatch):
     for walk in (resolve, label_only, resolution_tree):
         with pytest.raises(BudgetError, match="4 strands exceed the budget of 3 strands"):
             walk(w)
+
+
+def test_hecke_product_stops_at_its_budget(monkeypatch):
+    # the cost is taken on the cancelled word: 4 letters on 3 strands, 4**2 * 3!
+    w = parse_word("3: 1 2 1 -1 1 2 2 -2")
+    assert len(w.free_reduce().letters) == 4
+    monkeypatch.setattr(resolution, "_HECKE_BUDGET", 96)
+    assert resolve(w) == tree_vector(resolution_tree(w))
+    monkeypatch.setattr(resolution, "_HECKE_BUDGET", 95)
+    for call in (resolve, compare_basepoints):
+        with pytest.raises(BudgetError, match="cost 96, past the Hecke product's budget of 95"):
+            call(w)
+
+
+# -- cancelling inverse pairs ------------------------------------------------------
+#
+# resolve cancels each sigma_i^e against a later sigma_i^-e across letters
+# that commute with sigma_i.  On one to five strands that is an identity of
+# the Hecke product; on six or more the search on the cancelled word has to
+# equal the search and the tree on the word as given.
+
+
+@st.composite
+def planted_words(draw):
+    """Words on 2-8 strands, some strands idle, holding planted pairs
+    sigma_i^e ... sigma_i^-e whose letters in between commute with sigma_i."""
+    n = draw(st.integers(2, 8))
+    pool = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=4, unique=True))
+
+    def letters(generators, max_size):
+        return st.lists(st.sampled_from(generators).flatmap(
+            lambda i: st.sampled_from([i, -i])), max_size=max_size)
+
+    signed = draw(letters(pool, 4))
+    for _ in range(draw(st.integers(1, 2))):
+        i, e = draw(st.sampled_from(pool)), draw(st.sampled_from([1, -1]))
+        far = [j for j in pool if abs(j - i) >= 2]
+        between = draw(letters(far, 2)) if far else []
+        at = draw(st.integers(0, len(signed)))
+        signed[at:at] = [e * i, *between, -e * i]
+    return BraidWord.from_signed(n, signed)
+
+
+@given(planted_words())
+@settings(deadline=None)
+def test_cancelled_pairs_resolve_as_the_word_as_given(w):
+    assert len(w.free_reduce().letters) < len(w.letters)
+    vectors = compare_basepoints(w)
+    for bp in range(1, w.strand_count + 1):
+        searched = resolution._search_vector(w.strand_count, *resolution._lists(w.letters), bp)
+        assert resolve(w, bp) == vectors[bp] == searched == tree_vector(resolution_tree(w, bp))
+
+
+def test_labels_and_the_tree_keep_the_word_as_given():
+    w = parse_word("6: 1 3 -1")
+    assert set(label_only(w)) == {0, 1, 2}
+    assert resolution_tree(w).word == w
+
+
+def test_a_wide_word_that_cancels_is_the_unlink():
+    n = 10_000
+    w = BraidWord.from_signed(n, [*range(1, n), *range(1 - n, 0)])
+    assert resolve(w) == SkeinVector(n, {(1,) * n: LaurentAB.one()})
 
 
 # -- the search's leaf sums --------------------------------------------------------

@@ -276,11 +276,34 @@ def test_free_reduce():
     assert parse_word("3: 1 -1 2").free_reduce().signed_indices() == (2,)
     assert parse_word("3: 1 2 -2 -1").free_reduce().signed_indices() == ()
     assert parse_word("3: 1 -2 1").free_reduce().signed_indices() == (1, -2, 1)
+    # across letters that commute with sigma_1, but not across sigma_2
+    assert parse_word("4: 1 3 -1").free_reduce().signed_indices() == (3,)
+    assert parse_word("4: 1 2 -1").free_reduce().signed_indices() == (1, 2, -1)
+    assert parse_word("5: 1 4 -1 2 -4").free_reduce().signed_indices() == (2,)
 
 
 def test_free_reduce_keeps_surviving_ids():
     w = parse_word("3: 1 -1 2")
     assert w.free_reduce().crossing_ids() == (2,)
+    assert parse_word("5: 2 1 4 -1 -4 3").free_reduce().crossing_ids() == (0, 5)
+
+
+def cancellable(signed: tuple[int, ...]) -> bool:
+    """Whether some sigma_i^e has a later sigma_i^-e with only letters that
+    commute with sigma_i in between, by trying every pair."""
+    return any(signed[q] == -signed[p]
+               and all(abs(abs(s) - abs(signed[p])) >= 2 for s in signed[p + 1:q])
+               for p in range(len(signed)) for q in range(p + 1, len(signed)))
+
+
+@given(words(max_strands=6, max_len=14))
+def test_free_reduce_leaves_no_pair_that_cancels(w):
+    reduced = w.free_reduce()
+    assert not cancellable(reduced.signed_indices())
+    assert len(reduced.letters) < len(w.letters) or not cancellable(w.signed_indices())
+    # the kept letters, ids and all, are a subsequence of the word's
+    letters = iter(w.letters)
+    assert all(letter in letters for letter in reduced.letters)
 
 
 def test_commutation():
