@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .analysis import MalformedVectorError, nugatory_scan, odd_change_check, parity_consistency
 from .homfly import BraidIndexCertificate, HomflyPoly, certify_braid_index_3, homfly_oracle, to_homfly
-from .resolution import Label, _lists, _search_vector, label_only, resolve
+from .resolution import Label, _search_vector, label_only, resolve
 from .skein import A, B, SkeinVector
 from .templates import (
     enumerate_exchange_instances,
@@ -131,7 +131,8 @@ def criterion_3(max_len: int = 7) -> tuple[bool, str]:
         # resolve cancels inverse pairs itself, so a word that cancels is
         # held to the search on the word as given, which cancels nothing
         if (len(word.free_reduce().letters) != len(word.letters)
-                and _search_vector(3, *_lists(word.letters), 1) != base):
+                and _search_vector(3, [l.index for l in word.letters],
+                                   [l.sign for l in word.letters], 1) != base):
             failures += 1
         for k in range(1, len(signed)):
             if resolved(word.cyclic_rotate(k).signed_indices()) != base:

@@ -36,7 +36,9 @@ with the resolutions of the basis elements T_w.  So on up to
 :data:`_HECKE_MAX_STRANDS` strands :func:`resolve` multiplies the word out
 letter by letter, each step costing the element's support rather than a
 leaf per diagram, and reads each resolve(T_w) from a table that the search
-fills once, on a reduced positive word of w.  The element is graded, so the
+fills once, on the reduced positive word by which :func:`_group` first
+reaches w from the identity; every reduced word of w multiplies out to the
+same T_w, so the choice does not matter.  The element is graded, so the
 product carries only B's exponent and puts A's back at the end, from the
 writhe and the length of w (:func:`_hecke_product`).  The table holds n*n!
 entries per strand count, 719 through five strands; a sixth strand alone
@@ -45,15 +47,16 @@ wider words keep the search.  The B-degrees of the coefficients grow with
 the word, so the product's work grows like the square of the length times
 n!, and it stops at :data:`_HECKE_BUDGET`.
 
-Before either engine runs, :func:`resolve` cancels each letter against a
-later inverse letter across letters that commute with it, in one linear
-pass (:meth:`BraidWord.free_reduce`); that is an identity in H_n (Jones,
-Ann. Math. 126, 1987), so on up to five strands it holds by construction,
-and on six or more the search on the cancelled word equals the search on
-the word as given on every word the tests try, at every basepoint.  Only
-:func:`resolve` and :func:`compare_basepoints` cancel: the labels and the
-tree show the diagram's own crossings, and :func:`_walk` takes the word as
-given, so it stays the reference for both engines.
+:func:`resolve` and :func:`compare_basepoints` share one path to either
+engine (:func:`_resolved`), which cancels each letter against a later
+inverse letter across letters that commute with it, in one linear pass over
+the engines' index and sign lists (:meth:`BraidWord.free_reduce` runs it
+too).  That is an identity in H_n (Jones, Ann. Math. 126, 1987), so on up
+to five strands it holds by construction, and on six or more the search on
+the cancelled word equals the search on the word as given on every word the
+tests try, at every basepoint.  The labels and the tree show the diagram's
+own crossings, and :func:`_walk` takes the word as given, so it stays the
+reference for both engines.
 """
 
 from __future__ import annotations
@@ -64,7 +67,7 @@ import itertools
 from typing import Iterator, NamedTuple, Sequence
 
 from .skein import A, A_INV, B, NEG_A_INV_B, LaurentAB, SkeinVector
-from .words import BraidWord, Letter, WordError, _cancel_pairs, cycle_type, partitions_of, permutation
+from .words import BraidWord, Letter, WordError, _cancel_pairs, cycle_type, permutation
 
 
 class Label(enum.Enum):
@@ -77,6 +80,8 @@ def _check_basepoint(word: BraidWord, basepoint: int):
         raise BudgetError(
             f"{word.strand_count} strands exceed the budget of {_STRAND_BUDGET:,} strands"
         )
+    if not isinstance(basepoint, int):
+        raise WordError(f"basepoint {basepoint!r} is not an int")
     if not 1 <= basepoint <= word.strand_count:
         raise WordError(
             f"basepoint {basepoint} out of range for {word.strand_count} strands"
@@ -151,7 +156,8 @@ def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
 _B_SPAN = 1 << 40
 _UNSEEN, _GOOD, _GONE = 0, 1, 2
 # leaves that one search may pop: 50,000 random six-strand words of 18-21
-# letters reached at most 52,712; at 3.5-5 us a leaf this takes 4-6 s
+# letters, cancelled as resolve cancels them, reached at most 34,688 (median
+# 204) from basepoint 1; at 3.5-5 us a leaf this takes 4-6 s
 _LEAF_BUDGET = 1_200_000
 # letters that the node words of one tree may hold between them: the tree
 # of 2: -1 x21 (28,657 leaves) holds 689,587, that of x22 1,167,051
@@ -274,23 +280,27 @@ _HECKE_MAX_STRANDS = 5
 # 54,000,000
 _HECKE_BUDGET = 180_000_000
 # (n, basepoint) -> per permutation index, None until first read, else the
-# (partition index, monomial key, coeff) terms of resolve(T_w)
-_TABLES: dict[tuple[int, int], list[tuple[tuple[int, int, int], ...] | None]] = {}
+# (partition, monomial key, coeff) terms of resolve(T_w)
+_TABLES: dict[tuple[int, int], list[tuple[tuple[tuple[int, ...], int, int], ...] | None]] = {}
 
 
 @functools.cache
 def _group(n: int):
-    """The permutations of n and the length (inversion count) of each; for
-    each generator i, the pairs (w, w*s_i) of their indices with
-    w(i) < w(i+1); the partitions of n, and the index of each partition."""
-    perms = list(itertools.permutations(range(n)))
-    lengths = [sum(x > y for x, y in itertools.combinations(w, 2)) for w in perms]
-    index = {w: k for k, w in enumerate(perms)}
-    pairs = [[(k, index[w[:i] + (w[i + 1], w[i]) + w[i + 2:]])
-              for k, w in enumerate(perms) if w[i] < w[i + 1]]
-             for i in range(n - 1)]
-    parts_list = partitions_of(n)
-    return perms, lengths, pairs, parts_list, {parts: k for k, parts in enumerate(parts_list)}
+    """The permutations of n, breadth-first from the identity; a reduced positive
+    word of each, where w*s_i with w(i) < w(i+1) has length l(w) + 1 and gets
+    w's word followed by i; and for each generator i, those pairs of indices."""
+    perms, words, index = [tuple(range(n))], [[]], {tuple(range(n)): 0}
+    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n - 1)]
+    for k, w in enumerate(perms):  # perms grows as the walk reaches longer ones
+        for i in range(n - 1):
+            if w[i] < w[i + 1]:
+                ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+                j = index.setdefault(ws, len(perms))
+                if j == len(perms):
+                    perms.append(ws)
+                    words.append(words[k] + [i + 1])
+                pairs[i].append((k, j))
+    return perms, words, pairs
 
 
 def _hecke_product(n: int, indices: list[int], signs: list[int]) -> list[dict[int, int]]:
@@ -306,11 +316,11 @@ def _hecke_product(n: int, indices: list[int], signs: list[int]) -> list[dict[in
     only b is carried: a letter maps (p, q) on (T_lo, T_hi) to (q, p + B*q) if
     positive, (q - B*p, p) if negative; a = (e - l(w) - b) / 2 is put back last.
     """
-    _, lengths, pairs, _, _ = _group(n)
-    if (cost := len(indices) ** 2 * len(lengths)) > _HECKE_BUDGET:
+    _, words, pairs = _group(n)
+    if (cost := len(indices) ** 2 * len(words)) > _HECKE_BUDGET:
         raise BudgetError(f"{len(indices):,} letters on {n} strands cost {cost:,}, past the "
                           f"Hecke product's budget of {_HECKE_BUDGET:,} (letters squared times n!)")
-    element: list[dict[int, int]] = [{} for _ in lengths]
+    element: list[dict[int, int]] = [{} for _ in words]
     element[0][0] = 1  # T of the identity
     for index, sign in zip(indices, signs):
         for lo, hi in pairs[index - 1]:
@@ -327,47 +337,32 @@ def _hecke_product(n: int, indices: list[int], signs: list[int]) -> list[dict[in
                     del into[b]
             element[lo], element[hi] = q, p
     writhe = sum(signs)
-    return [{((writhe - length - b) >> 1) * _B_SPAN + b: c for b, c in coeff.items()}
-            if coeff else coeff for coeff, length in zip(element, lengths)]
-
-
-def _reduced_word(w: tuple[int, ...]) -> list[int]:
-    """A reduced positive word for w: peel descents off the right."""
-    current, letters = list(w), []
-    i = 0
-    while i < len(current) - 1:
-        if current[i] > current[i + 1]:
-            current[i], current[i + 1] = current[i + 1], current[i]
-            letters.append(i + 1)
-            i = max(i - 1, 0)
-        else:
-            i += 1
-    return letters[::-1]
+    return [{((writhe - len(word) - b) >> 1) * _B_SPAN + b: c for b, c in coeff.items()}
+            if coeff else coeff for coeff, word in zip(element, words)]
 
 
 def _dot(element: list[dict[int, int]], n: int, basepoint: int) -> SkeinVector:
     """resolve of an element of H_n, from the table of resolve(T_w)."""
-    perms, _, _, parts_list, where = _group(n)
+    _, words, _ = _group(n)
     table = _TABLES.get((n, basepoint))
     if table is None:
-        table = _TABLES[n, basepoint] = [None] * len(perms)
-    totals: dict[int, dict[int, int]] = {}
+        table = _TABLES[n, basepoint] = [None] * len(words)
+    totals: dict[tuple[int, ...], dict[int, int]] = {}
     for w in itertools.compress(range(len(element)), element):
         coeff = element[w]
         entry = table[w]
         if entry is None:
-            letters = _reduced_word(perms[w])
-            walked = _walk(n, letters, [1] * len(letters), basepoint)
-            entry = table[w] = tuple((where[parts], k, c) for parts, terms in walked.items()
+            walked = _walk(n, words[w], [1] * len(words[w]), basepoint)
+            entry = table[w] = tuple((parts, k, c) for parts, terms in walked.items()
                                      for k, c in terms.items() if c)
-        for p, shift, c in entry:
-            out = totals.get(p)
+        for parts, shift, c in entry:
+            out = totals.get(parts)
             if out is None:
-                out = totals[p] = {}
+                out = totals[parts] = {}
             for k, d in coeff.items():
                 k += shift
                 out[k] = out.get(k, 0) + c * d
-    return SkeinVector._of(n, {parts_list[p]: _laurent(out) for p, out in totals.items()})
+    return SkeinVector._of(n, {parts: _laurent(out) for parts, out in totals.items()})
 
 
 # -- entry points ------------------------------------------------------------------
@@ -393,28 +388,27 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
     because the table would have n*n! entries (see the module docstring),
     and stops with :class:`BudgetError` past :data:`_LEAF_BUDGET` leaves.
     """
-    _check_basepoint(word, basepoint)
-    n = word.strand_count
-    indices, signs = _lists(_cancel_pairs(word.letters))
-    if n <= _HECKE_MAX_STRANDS:
-        return _dot(_hecke_product(n, indices, signs), n, basepoint)
-    return _search_vector(n, indices, signs, basepoint)
+    return _resolved(word, (basepoint,))[0]
 
 
 def compare_basepoints(word: BraidWord) -> dict[int, SkeinVector]:
     """Resolution from every basepoint, for inspecting how they differ."""
-    _check_basepoint(word, 1)
+    return dict(enumerate(_resolved(word, range(1, word.strand_count + 1)), 1))
+
+
+def _resolved(word: BraidWord, basepoints: Sequence[int]) -> list[SkeinVector]:
+    """resolve at each basepoint, from one cancelled word and one engine."""
+    for basepoint in basepoints:
+        _check_basepoint(word, basepoint)
     n = word.strand_count
-    indices, signs = _lists(_cancel_pairs(word.letters))
+    indices, signs = [l.index for l in word.letters], [l.sign for l in word.letters]
+    kept = _cancel_pairs(indices, signs)
+    if len(kept) < len(indices):
+        indices, signs = [indices[k] for k in kept], [signs[k] for k in kept]
     if n <= _HECKE_MAX_STRANDS:
         element = _hecke_product(n, indices, signs)
-        return {bp: _dot(element, n, bp) for bp in range(1, n + 1)}
-    return {bp: _search_vector(n, indices, signs, bp) for bp in range(1, n + 1)}
-
-
-def _lists(letters: Sequence[Letter]) -> tuple[list[int], list[int]]:
-    """The letters' indices and signs, as the engines take them."""
-    return [l.index for l in letters], [l.sign for l in letters]
+        return [_dot(element, n, bp) for bp in basepoints]
+    return [_search_vector(n, indices, signs, bp) for bp in basepoints]
 
 
 def _search_vector(n: int, indices: list[int], signs: list[int], basepoint: int) -> SkeinVector:

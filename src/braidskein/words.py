@@ -118,7 +118,9 @@ class BraidWord(_Word):
         """Cancel each sigma_i^e against a later sigma_i^-e across letters
         that commute with sigma_i, until no such pair remains (see
         :func:`_cancel_pairs`); the kept letters keep their ids."""
-        return self._replace(letters=tuple(_cancel_pairs(self.letters)))
+        letters = self.letters
+        kept = _cancel_pairs([l.index for l in letters], [l.sign for l in letters])
+        return self._replace(letters=tuple([letters[k] for k in kept]))
 
     def apply_braid_relation_at(self, position: int) -> BraidWord:
         """Rewrite by the braid relation whose pattern starts at ``position``.
@@ -177,10 +179,10 @@ class BraidWord(_Word):
         return self._replace(letters=out)
 
 
-def _cancel_pairs(letters: Sequence[Letter]) -> Sequence[Letter]:
-    """The letters left once each sigma_i^e has cancelled against a later
-    sigma_i^-e such that every letter left between them commutes with
-    sigma_i, that is, sits on a generator j with |j - i| >= 2.
+def _cancel_pairs(indices: list[int], signs: list[int]) -> Sequence[int]:
+    """The positions of the letters left once each sigma_i^e has cancelled
+    against a later sigma_i^-e such that every letter left between them
+    commutes with sigma_i, that is, sits on a generator j with |j - i| >= 2.
 
     T_i*T_i^-1 = 1 and T_i*T_j = T_j*T_i for |i - j| >= 2 in the Hecke
     algebra, so the cancelled word is the same element there.  One pass
@@ -189,29 +191,25 @@ def _cancel_pairs(letters: Sequence[Letter]) -> Sequence[Letter]:
     neither neighbour generator i - 1, i + 1 has a kept letter after it.
     No pair that the rule would cancel is left: the first letter of such a
     pair would have been that top, with no neighbour after it, when the
-    second came.  A word in which no generator occurs with both signs is
-    returned as it is.
+    second came.  A word of one sign keeps every position without the pass.
     """
-    negative = [l.index for l in letters if l.sign < 0]
-    if (len(negative) in (0, len(letters))
-            or {l.index for l in letters if l.sign > 0}.isdisjoint(negative)):
-        return letters
+    if 1 not in signs or -1 not in signs:
+        return range(len(indices))
     stacks: dict[int, list[int]] = {}
-    gone = bytearray(len(letters))
-    for k, (i, sign, _) in enumerate(letters):
+    kept = bytearray(b"\1") * len(indices)
+    for k, i in enumerate(indices):
         stack = stacks.get(i)
         if not stack:
             stacks[i] = [k]
             continue
         top = stack[-1]
         below, above = stacks.get(i - 1), stacks.get(i + 1)
-        if (letters[top].sign != sign and not (below and below[-1] > top)
+        if (signs[top] != signs[k] and not (below and below[-1] > top)
                 and not (above and above[-1] > top)):
-            stack.pop()
-            gone[top] = gone[k] = 1
+            kept[stack.pop()] = kept[k] = 0
         else:
             stack.append(k)
-    return [l for l, g in zip(letters, gone) if not g]
+    return list(itertools.compress(range(len(indices)), kept))
 
 
 _MAX_DIGITS = 4300  # the interpreter's default limit for text to int

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from braidskein import resolution
+from braidskein.analysis import nugatory_scan, parity_consistency
 from braidskein.homfly import DELTA, homfly_oracle, jones, to_homfly
 from braidskein.resolution import (
     BudgetError,
@@ -29,7 +33,7 @@ from braidskein.words import (
     signed_words,
 )
 
-from test_words import words
+from test_words import gapped_words, words
 
 
 # -- independent 2-strand oracle ---------------------------------------------
@@ -51,9 +55,14 @@ def hecke2_vector(word: BraidWord) -> SkeinVector:
     return SkeinVector(2, {(1, 1): u, (2,): v})
 
 
+def lists(word: BraidWord) -> tuple[list[int], list[int]]:
+    """The word's letter indices and signs, as the engines take them."""
+    return [l.index for l in word.letters], [l.sign for l in word.letters]
+
+
 def walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, int]]:
     """The search on the word as given, with nothing cancelled."""
-    return _walk(word.strand_count, *resolution._lists(word.letters), basepoint)
+    return _walk(word.strand_count, *lists(word), basepoint)
 
 
 # -- independent row-scan walk -------------------------------------------------
@@ -81,17 +90,6 @@ def scan_labels(word: BraidWord, basepoint: int) -> dict[int, Label]:
             for l in word.letters}
 
 
-@st.composite
-def gapped_words(draw, max_strands=40, max_len=10, min_strands=2):
-    """Words whose generators come from a random subset, so that some
-    strands are idle and the touched ones can sit far apart."""
-    n = draw(st.integers(min_strands, max_strands))
-    pool = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6, unique=True))
-    signed = draw(st.lists(st.sampled_from(pool).flatmap(
-        lambda i: st.sampled_from([i, -i])), max_size=max_len))
-    return BraidWord.from_signed(n, signed)
-
-
 # -- walks ---------------------------------------------------------------------
 
 
@@ -109,6 +107,24 @@ def test_basepoint_out_of_range():
         label_only(parse_word("2: 1"), basepoint=3)
     with pytest.raises(WordError):
         resolve(parse_word("2: 1"), basepoint=0)
+
+
+@pytest.mark.parametrize("call", [resolve, label_only, resolution_tree,
+                                  parity_consistency, nugatory_scan])
+@pytest.mark.parametrize("word", ["3: 1 2", "6: 1 -2 3"])
+@pytest.mark.parametrize("basepoint", [1.5, 2.5, 1.0, "1", None])
+def test_a_basepoint_that_is_not_an_int_is_rejected(call, word, basepoint):
+    # on six strands the search would start a float basepoint from strand 1
+    tables = set(resolution._TABLES)
+    with pytest.raises(WordError, match=f"basepoint {basepoint!r} is not an int"):
+        call(parse_word(word), basepoint)
+    assert set(resolution._TABLES) == tables
+
+
+def test_a_bool_basepoint_counts_as_an_int():
+    w = parse_word("3: 1 -2 1")
+    assert resolve(w, True) == resolve(w, 1)
+    assert label_only(w, True) == label_only(w, 1)
 
 
 @given(words())
@@ -266,14 +282,38 @@ def test_hecke_path_covers_one_to_five_strands():
 def test_hecke_product_is_graded(w):
     # every monomial A^a*B^b on T_w has 2a + b + l(w) = writhe; a term off
     # the grading would have its a silently floored by the product's >> 1
-    perms = resolution._group(w.strand_count)[0]
+    n = w.strand_count
+    words = resolution._group(n)[1]
     writhe = sum(letter.sign for letter in w.letters)
-    element = resolution._hecke_product(w.strand_count, *resolution._lists(w.letters))
-    for perm, coeff in zip(perms, element):
-        length = len(resolution._reduced_word(perm))
+    element = resolution._hecke_product(n, *lists(w))
+    for word, coeff in zip(words, element):
+        length = inversions(permutation(BraidWord.from_signed(n, word)))
         for key, c in coeff.items():
             a, b = divmod(key, resolution._B_SPAN)
             assert c != 0 and 2 * a + b + length == writhe
+
+
+def inversions(perm: tuple[int, ...]) -> int:
+    return sum(x > y for x, y in itertools.combinations(perm, 2))
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_group_walks_every_permutation_once(n):
+    perms, words, pairs = resolution._group(n)
+    assert len(set(perms)) == len(perms) == len(words) == math.factorial(n)
+    for perm, word in zip(perms, words):
+        image = permutation(BraidWord.from_signed(n, word))
+        # the word is positive and reduced, and it takes the strand at
+        # bottom position p from top position perm[p - 1] + 1
+        assert all(i > 0 for i in word) and inversions(image) == len(word)
+        assert [image[x] for x in perm] == list(range(1, n + 1))
+    assert len(pairs) == n - 1
+    for i, row in enumerate(pairs):
+        assert [lo for lo, _ in row] == [k for k, w in enumerate(perms) if w[i] < w[i + 1]]
+        for lo, hi in row:
+            w = perms[lo]
+            assert perms[hi] == w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            assert len(words[hi]) == len(words[lo]) + 1
 
 
 def test_search_stops_at_its_leaf_budget(monkeypatch):
@@ -343,7 +383,7 @@ def test_cancelled_pairs_resolve_as_the_word_as_given(w):
     assert len(w.free_reduce().letters) < len(w.letters)
     vectors = compare_basepoints(w)
     for bp in range(1, w.strand_count + 1):
-        searched = resolution._search_vector(w.strand_count, *resolution._lists(w.letters), bp)
+        searched = resolution._search_vector(w.strand_count, *lists(w), bp)
         assert resolve(w, bp) == vectors[bp] == searched == tree_vector(resolution_tree(w, bp))
 
 

@@ -39,6 +39,17 @@ def words(max_strands=5, max_len=8):
     )
 
 
+@st.composite
+def gapped_words(draw, max_strands=40, max_len=10, min_strands=2):
+    """Words whose generators come from a random subset, so that some
+    strands are idle and the touched ones can sit far apart."""
+    n = draw(st.integers(min_strands, max_strands))
+    pool = draw(st.lists(st.integers(1, n - 1), min_size=1, max_size=6, unique=True))
+    signed = draw(st.lists(st.sampled_from(pool).flatmap(
+        lambda i: st.sampled_from([i, -i])), max_size=max_len))
+    return BraidWord.from_signed(n, signed)
+
+
 # -- parsing and formatting --------------------------------------------------
 
 
@@ -304,6 +315,28 @@ def test_free_reduce_leaves_no_pair_that_cancels(w):
     # the kept letters, ids and all, are a subsequence of the word's
     letters = iter(w.letters)
     assert all(letter in letters for letter in reduced.letters)
+
+
+def kept_by_the_rule(signed: tuple[int, ...]) -> list[int]:
+    """The positions free_reduce keeps, by the rule stated plainly: a letter
+    cancels the latest kept letter of its generator when that letter has
+    the other sign and no kept letter on generator i - 1 or i + 1 lies
+    after it."""
+    kept: list[int] = []
+    for q, s in enumerate(signed):
+        same = [p for p in kept if abs(signed[p]) == abs(s)]
+        if same and signed[same[-1]] == -s and not any(
+                abs(abs(signed[r]) - abs(s)) == 1 for r in kept if r > same[-1]):
+            kept.remove(same[-1])
+        else:
+            kept.append(q)
+    return kept
+
+
+@given(gapped_words(max_strands=8, max_len=16))
+def test_free_reduce_keeps_the_crossings_the_rule_keeps(w):
+    kept = kept_by_the_rule(w.signed_indices())
+    assert w.free_reduce().letters == tuple(w.letters[p] for p in kept)
 
 
 def test_commutation():
