@@ -40,19 +40,20 @@ fills once, on the reduced positive word by which :func:`_group` first
 reaches w from the identity; every reduced word of w multiplies out to the
 same T_w, so the choice does not matter.  The element is graded, so the
 product carries only B's exponent and puts A's back at the end, from the
-writhe and the length of w (:func:`_hecke_product`).  The table holds n*n!
-entries per strand count, 719 through five strands; a sixth strand alone
-would add 4320, and a product step there touches 360 pairs per letter, so
-wider words keep the search.  The B-degrees of the coefficients grow with
-the word, so the product's work grows like the square of the length times
-n!, and it stops at :data:`_HECKE_BUDGET`.
+writhe and the length of w (:func:`_hecke_product`), and a letter sweeps
+only the pairs (w, w*s_i) that the element can have reached.  The table
+holds n*n! entries per strand count, 5039 through six strands; a seventh
+strand alone would add 35,280, and a product step there touches up to 2520
+pairs per letter, so wider words keep the search.  The B-degrees of the
+coefficients grow with the word, so the product's work grows like the
+square of the length times n!, and it stops at :data:`_HECKE_BUDGET`.
 
 :func:`resolve` and :func:`compare_basepoints` share one path to either
 engine (:func:`_resolved`), which cancels each letter against a later
 inverse letter across letters that commute with it, in one linear pass over
 the engines' index and sign lists (:meth:`BraidWord.free_reduce` runs it
 too).  That is an identity in H_n (Jones, Ann. Math. 126, 1987), so on up
-to five strands it holds by construction, and on six or more the search on
+to six strands it holds by construction, and on seven or more the search on
 the cancelled word equals the search on the word as given on every word the
 tests try, at every basepoint.  The labels and the tree show the diagram's
 own crossings, and :func:`_walk` takes the word as given, so it stays the
@@ -155,9 +156,9 @@ def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
 
 _B_SPAN = 1 << 40
 _UNSEEN, _GOOD, _GONE = 0, 1, 2
-# leaves that one search may pop: 50,000 random six-strand words of 18-21
-# letters, cancelled as resolve cancels them, reached at most 34,688 (median
-# 204) from basepoint 1; at 3.5-5 us a leaf this takes 4-6 s
+# leaves that one search may pop: 5,000 random seven-strand words of 18-21
+# letters, cancelled as resolve cancels them, reached at most 20,912 (median
+# 222) from basepoint 1; at 3.5-5.5 us a leaf this takes 4-7 s
 _LEAF_BUDGET = 1_200_000
 # letters that the node words of one tree may hold between them: the tree
 # of 2: -1 x21 (28,657 leaves) holds 689,587, that of x22 1,167,051
@@ -272,12 +273,12 @@ def _walk(n: int, indices: list[int], signs: list[int],
 
 # -- Hecke product ----------------------------------------------------------------
 
-_HECKE_MAX_STRANDS = 5
+_HECKE_MAX_STRANDS = 6
 # letters squared times n! that one product may cost: the work tracks this at
 # 3.2e-8 to 5.6e-8 s a unit on two cores (2,000 random positive letters took
-# 0.81-1.36 s on three strands, 600 took 1.37 s on five), so the budget takes
-# 6-10 s; a flype side, at most 3,000 letters on three strands, costs at most
-# 54,000,000
+# 0.81-1.36 s on three strands, 600 took 1.37 s on five, and 480 took 7.1 s
+# on six, at a cost of 165,888,000), so the budget takes 6-10 s; a flype
+# side, at most 3,000 letters on three strands, costs at most 54,000,000
 _HECKE_BUDGET = 180_000_000
 # (n, basepoint) -> per permutation index, None until first read, else the
 # (partition, monomial key, coeff) terms of resolve(T_w)
@@ -288,10 +289,15 @@ _TABLES: dict[tuple[int, int], list[tuple[tuple[tuple[int, ...], int, int], ...]
 def _group(n: int):
     """The permutations of n, breadth-first from the identity; a reduced positive
     word of each, where w*s_i with w(i) < w(i+1) has length l(w) + 1 and gets
-    w's word followed by i; and for each generator i, those pairs of indices."""
+    w's word followed by i; for each generator i, those pairs of indices,
+    listed by l(w), and at each k the number of them with l(w) <= k."""
     perms, words, index = [tuple(range(n))], [[]], {tuple(range(n)): 0}
     pairs: list[list[tuple[int, int]]] = [[] for _ in range(n - 1)]
+    ends: list[list[int]] = [[] for _ in range(n - 1)]
     for k, w in enumerate(perms):  # perms grows as the walk reaches longer ones
+        if k and len(words[k]) > len(words[k - 1]):  # the first of a new length
+            for row, end in zip(pairs, ends):
+                end.append(len(row))
         for i in range(n - 1):
             if w[i] < w[i + 1]:
                 ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
@@ -300,7 +306,7 @@ def _group(n: int):
                     perms.append(ws)
                     words.append(words[k] + [i + 1])
                 pairs[i].append((k, j))
-    return perms, words, pairs
+    return perms, words, pairs, ends
 
 
 def _hecke_product(n: int, indices: list[int], signs: list[int]) -> list[dict[int, int]]:
@@ -315,15 +321,18 @@ def _hecke_product(n: int, indices: list[int], signs: list[int]) -> list[dict[in
     and T_lo*T_i^-1 = A^-1*T_hi - A^-1*B*T_lo (a - 1, l + 1; a - 1, b + 1).  So
     only b is carried: a letter maps (p, q) on (T_lo, T_hi) to (q, p + B*q) if
     positive, (q - B*p, p) if negative; a = (e - l(w) - b) / 2 is put back last.
+    Each product raises l by at most 1, so after t letters every T_w has
+    l(w) <= t, and the next letter sweeps only its pairs with l(lo) <= t.
     """
-    _, words, pairs = _group(n)
+    _, words, pairs, ends = _group(n)
     if (cost := len(indices) ** 2 * len(words)) > _HECKE_BUDGET:
         raise BudgetError(f"{len(indices):,} letters on {n} strands cost {cost:,}, past the "
                           f"Hecke product's budget of {_HECKE_BUDGET:,} (letters squared times n!)")
     element: list[dict[int, int]] = [{} for _ in words]
     element[0][0] = 1  # T of the identity
-    for index, sign in zip(indices, signs):
-        for lo, hi in pairs[index - 1]:
+    for t, (index, sign) in enumerate(zip(indices, signs)):
+        row, end = pairs[index - 1], ends[index - 1]
+        for lo, hi in row[:end[t]] if t < len(end) else row:
             p, q = element[lo], element[hi]
             if not (p or q):
                 continue
@@ -343,7 +352,7 @@ def _hecke_product(n: int, indices: list[int], signs: list[int]) -> list[dict[in
 
 def _dot(element: list[dict[int, int]], n: int, basepoint: int) -> SkeinVector:
     """resolve of an element of H_n, from the table of resolve(T_w)."""
-    _, words, _ = _group(n)
+    words = _group(n)[1]
     table = _TABLES.get((n, basepoint))
     if table is None:
         table = _TABLES[n, basepoint] = [None] * len(words)
@@ -380,10 +389,10 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
 
     First each letter cancels against a later inverse letter across
     letters that commute with it (:meth:`BraidWord.free_reduce`).  On one
-    to five strands the word is then multiplied out in the Hecke algebra
+    to six strands the word is then multiplied out in the Hecke algebra
     and dotted with the table of basis resolutions, so the work grows
     polynomially with the word length, and stops with
-    :class:`BudgetError` past :data:`_HECKE_BUDGET`; on six or more it runs
+    :class:`BudgetError` past :data:`_HECKE_BUDGET`; on seven or more it runs
     the depth-first search, whose work grows exponentially with it,
     because the table would have n*n! entries (see the module docstring),
     and stops with :class:`BudgetError` past :data:`_LEAF_BUDGET` leaves.

@@ -239,7 +239,7 @@ def test_selftest_quick_json(capsys):
     ("exchange-search", "--max-len", "-1"),
     ("tree", "2:" + " -1" * 300),  # over the tree's letter budget
     # over the search's leaf budget; each generator has one sign, so no pair cancels
-    ("resolve", "6:" + " 1 -2 3 -4 5" * 8),
+    ("resolve", "7:" + " 1 -2 3 -4 5 -6" * 7),
     # over the strand budget
     *((command, "99999999999999999999: 1") for command in (
         "resolve", "labels", "tree", "parity", "nugatory", "homfly", "mfw", "jones")),
@@ -247,8 +247,9 @@ def test_selftest_quick_json(capsys):
     *((command, "5002: 1") for command in ("homfly", "mfw", "jones")),
     # over the flype's letter budget; past 2**63 letters it overflowed a C index
     ("flype-test", "99999999999999999999", "0", "0", "1"),
-    # over the Hecke product's budget
+    # over the Hecke product's budget, on five and on six strands
     ("resolve", "5:" + " 1 2 3 4" * 500),
+    ("resolve", "6:" + " 1 2 3 4 5" * 101),
 ])
 def test_bad_inputs_exit_two(capsys, argv):
     assert run(capsys, *argv)[0] == 2

@@ -111,10 +111,11 @@ def test_basepoint_out_of_range():
 
 @pytest.mark.parametrize("call", [resolve, label_only, resolution_tree,
                                   parity_consistency, nugatory_scan])
-@pytest.mark.parametrize("word", ["3: 1 2", "6: 1 -2 3"])
+@pytest.mark.parametrize("word", ["3: 1 2", "6: 1 -2 3", "7: 1 -2 3"])
 @pytest.mark.parametrize("basepoint", [1.5, 2.5, 1.0, "1", None])
 def test_a_basepoint_that_is_not_an_int_is_rejected(call, word, basepoint):
-    # on six strands the search would start a float basepoint from strand 1
+    # the Hecke path would store a table under a float basepoint, and on
+    # seven strands the search would start it from strand 1
     tables = set(resolution._TABLES)
     with pytest.raises(WordError, match=f"basepoint {basepoint!r} is not an int"):
         call(parse_word(word), basepoint)
@@ -221,7 +222,7 @@ def test_resolve_id_independent(w):
 
 # -- Hecke product against the search ------------------------------------------
 #
-# On up to five strands resolve multiplies the word out in the Hecke algebra
+# On up to six strands resolve multiplies the word out in the Hecke algebra
 # and reads resolve(T_w) from a table; the depth-first search fills that
 # table and resolves everything wider.  Both must give the same vector on
 # every word, at every basepoint.
@@ -229,7 +230,7 @@ def test_resolve_id_independent(w):
 
 def test_hecke_path_equals_the_search_exhaustively():
     cases, wrong = 0, []
-    for n, max_len in ((1, 0), (2, 7), (3, 7), (4, 5)):
+    for n, max_len in ((1, 0), (2, 7), (3, 7), (4, 5), (6, 3)):
         for signed in signed_words(n, max_len):
             word = BraidWord.from_signed(n, signed)
             for bp, vector in compare_basepoints(word).items():
@@ -240,11 +241,11 @@ def test_hecke_path_equals_the_search_exhaustively():
                 if got != want:
                     wrong.append((word.format(), bp))
                 cases += 1
-    assert cases == 1 + 2 * 255 + 3 * 21845 + 4 * 9331
+    assert cases == 1 + 2 * 255 + 3 * 21845 + 4 * 9331 + 6 * 1111
     assert wrong == []
 
 
-@given(gapped_words(max_strands=5, max_len=16), st.integers(1, 5))
+@given(gapped_words(max_strands=6, max_len=16), st.integers(1, 6))
 @settings(deadline=None)
 def test_hecke_path_matches_the_tree(w, bp):
     bp = 1 + (bp - 1) % w.strand_count
@@ -266,18 +267,18 @@ def test_hecke_path_matches_the_oracle(w):
     assert to_homfly(resolve(w)) == homfly_oracle(w)
 
 
-def test_hecke_path_covers_one_to_five_strands():
-    # six and seven strands run the search and leave no table behind
+def test_hecke_path_covers_one_to_six_strands():
+    # seven strands run the search and leave no table behind
     for n in range(1, 8):
         signed = [(-1) ** k * (1 + k % (n - 1)) for k in range(12)] if n > 1 else []
         w = BraidWord.from_signed(n, signed)
         for bp in range(1, n + 1):
             assert resolve(w, bp) == tree_vector(resolution_tree(w, bp))
         assert compare_basepoints(w)[n] == resolve(w, n)
-    assert {n for n, _ in resolution._TABLES} == {1, 2, 3, 4, 5}
+    assert {n for n, _ in resolution._TABLES} == {1, 2, 3, 4, 5, 6}
 
 
-@given(st.one_of(st.just(BraidWord(1, [])), gapped_words(max_strands=5, max_len=20)))
+@given(st.one_of(st.just(BraidWord(1, [])), gapped_words(max_strands=6, max_len=20)))
 @settings(deadline=None)
 def test_hecke_product_is_graded(w):
     # every monomial A^a*B^b on T_w has 2a + b + l(w) = writhe; a term off
@@ -299,7 +300,7 @@ def inversions(perm: tuple[int, ...]) -> int:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_group_walks_every_permutation_once(n):
-    perms, words, pairs = resolution._group(n)
+    perms, words, pairs, ends = resolution._group(n)
     assert len(set(perms)) == len(perms) == len(words) == math.factorial(n)
     for perm, word in zip(perms, words):
         image = permutation(BraidWord.from_signed(n, word))
@@ -307,23 +308,29 @@ def test_group_walks_every_permutation_once(n):
         # bottom position p from top position perm[p - 1] + 1
         assert all(i > 0 for i in word) and inversions(image) == len(word)
         assert [image[x] for x in perm] == list(range(1, n + 1))
-    assert len(pairs) == n - 1
-    for i, row in enumerate(pairs):
+    assert len(pairs) == len(ends) == n - 1
+    for i, (row, end) in enumerate(zip(pairs, ends)):
         assert [lo for lo, _ in row] == [k for k, w in enumerate(perms) if w[i] < w[i + 1]]
         for lo, hi in row:
             w = perms[lo]
             assert perms[hi] == w[:i] + (w[i + 1], w[i]) + w[i + 2:]
             assert len(words[hi]) == len(words[lo]) + 1
+        # sorted by l(lo), with end[k] pairs of l(lo) <= k, up to the longest
+        # w that has w(i) < w(i + 1), one short of the longest permutation
+        lengths = [len(words[lo]) for lo, _ in row]
+        assert lengths == sorted(lengths)
+        assert end == [sum(l <= k for l in lengths) for k in range(n * (n - 1) // 2)]
+        assert end[-1] == len(row)
 
 
 def test_search_stops_at_its_leaf_budget(monkeypatch):
-    # six strands run the search, which pops a leaf per leaf of the tree
-    w = parse_word("6: -1 -2 -3 -4 -5 -1 -2 -3 -4 -5")
+    # seven strands run the search, which pops a leaf per leaf of the tree
+    w = parse_word("7: -1 -2 -3 -4 -5 -6 -1 -2 -3 -4 -5 -6")
     leaves = leaf_count(resolution_tree(w))
     monkeypatch.setattr(resolution, "_LEAF_BUDGET", leaves)
     assert resolve(w) == tree_vector(resolution_tree(w))
     monkeypatch.setattr(resolution, "_LEAF_BUDGET", leaves - 1)
-    with pytest.raises(BudgetError, match=f"budget of {leaves - 1} leaves"):
+    with pytest.raises(BudgetError, match=f"budget of {leaves - 1:,} leaves"):
         resolve(w)
 
 
@@ -351,8 +358,8 @@ def test_hecke_product_stops_at_its_budget(monkeypatch):
 # -- cancelling inverse pairs ------------------------------------------------------
 #
 # resolve cancels each sigma_i^e against a later sigma_i^-e across letters
-# that commute with sigma_i.  On one to five strands that is an identity of
-# the Hecke product; on six or more the search on the cancelled word has to
+# that commute with sigma_i.  On one to six strands that is an identity of
+# the Hecke product; on seven or more the search on the cancelled word has to
 # equal the search and the tree on the word as given.
 
 
@@ -450,8 +457,10 @@ def test_search_merges_the_orders_that_close_one_partition():
 @given(gapped_words(min_strands=6, max_strands=8, max_len=12))
 @settings(deadline=None)
 def test_search_equals_the_tree_on_six_to_eight_strands(w):
+    # resolve multiplies six-strand words out, so the search is called itself
     for bp in range(1, w.strand_count + 1):
-        assert resolve(w, bp) == tree_vector(resolution_tree(w, bp))
+        searched = resolution._search_vector(w.strand_count, *lists(w), bp)
+        assert resolve(w, bp) == searched == tree_vector(resolution_tree(w, bp))
 
 
 # -- tree ------------------------------------------------------------------------
