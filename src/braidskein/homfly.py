@@ -220,6 +220,10 @@ class JonesPoly(Laurent):
         half = e // 2
         return ["t" if half == 1 else f"t^{half}"]
 
+    @staticmethod
+    def _is_key(key) -> bool:
+        return type(key) is int
+
     _key_str = staticmethod(str)
     _parse_key = staticmethod(int)
 

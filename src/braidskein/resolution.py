@@ -40,13 +40,13 @@ fills once, on the reduced positive word by which :func:`_group` first
 reaches w from the identity; every reduced word of w multiplies out to the
 same T_w, so the choice does not matter.  The element is graded, so the
 product carries only B's exponent and puts A's back at the end, from the
-writhe and the length of w (:func:`_hecke_product`), and a letter sweeps
-only the pairs (w, w*s_i) that the element can have reached.  The table
-holds n*n! entries per strand count, 5039 through six strands; a seventh
-strand alone would add 35,280, and a product step there touches up to 2520
-pairs per letter, so wider words keep the search.  The B-degrees of the
-coefficients grow with the word, so the product's work grows like the
-square of the length times n!, and it stops at :data:`_HECKE_BUDGET`.
+writhe and the length of w (:func:`_hecke_product`), and it holds only the
+T_w that it has reached: T_1 at first, and at most twice as many after each
+letter.  The table holds up to n*n! entries per strand count, 5039 through
+six strands; a seventh strand alone would add 35,280, so wider words keep
+the search.  The support reaches at most n! elements and the B-degrees of
+the coefficients grow with the word, so the product's work grows at most
+like the square of the length times n!, and it stops at :data:`_HECKE_BUDGET`.
 
 :func:`resolve` and :func:`compare_basepoints` share one path to either
 engine (:func:`_resolved`), which cancels each letter against a later
@@ -64,7 +64,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 from typing import Iterator, NamedTuple, Sequence
 
 from .skein import A, A_INV, B, NEG_A_INV_B, LaurentAB, SkeinVector
@@ -165,7 +164,8 @@ _LEAF_BUDGET = 1_200_000
 _TREE_LETTER_BUDGET = 1_000_000
 # strands of one word: the walks take time and memory linear in the strand
 # count, and on 10,000,000 strands resolve took 5.3 s and 0.8 GB, tree (the
-# slowest) 8.4 s and 1.2 GB; past 2**63 they overflow a C index
+# slowest) 8.4 s and 1.2 GB; past 2**63 they overflow a C index.  It also
+# bounds compare_basepoints, a walk per basepoint, at n*n strand-steps
 _STRAND_BUDGET = 10_000_000
 
 
@@ -275,91 +275,86 @@ def _walk(n: int, indices: list[int], signs: list[int],
 
 _HECKE_MAX_STRANDS = 6
 # letters squared times n! that one product may cost: the work tracks this at
-# 3.2e-8 to 5.6e-8 s a unit on two cores (2,000 random positive letters took
-# 0.81-1.36 s on three strands, 600 took 1.37 s on five, and 480 took 7.1 s
-# on six, at a cost of 165,888,000), so the budget takes 6-10 s; a flype
-# side, at most 3,000 letters on three strands, costs at most 54,000,000
+# 2.3e-8 to 4.4e-8 s a unit on two cores (2,000 random positive letters took
+# 0.66-1.06 s on three strands, 600 took 1.00-1.68 s on five, and 480 took
+# 4.0-5.6 s on six, at a cost of 165,888,000), so the budget takes 4-8 s; a
+# flype side, at most 3,000 letters on three strands, costs at most 54,000,000
 _HECKE_BUDGET = 180_000_000
-# (n, basepoint) -> per permutation index, None until first read, else the
-# (partition, monomial key, coeff) terms of resolve(T_w)
-_TABLES: dict[tuple[int, int], list[tuple[tuple[tuple[int, ...], int, int], ...] | None]] = {}
+# (n, basepoint) -> {permutation index: the (partition, monomial key, coeff)
+# terms of resolve(T_w)}, filled as the products reach each w
+_TABLES: dict[tuple[int, int], dict[int, tuple[tuple[tuple[int, ...], int, int], ...]]] = {}
 
 
 @functools.cache
 def _group(n: int):
-    """The permutations of n, breadth-first from the identity; a reduced positive
-    word of each, where w*s_i with w(i) < w(i+1) has length l(w) + 1 and gets
-    w's word followed by i; for each generator i, those pairs of indices,
-    listed by l(w), and at each k the number of them with l(w) <= k."""
+    """The permutations of n, breadth-first from the identity: a reduced positive
+    word of each, w's followed by i for the w*s_i first reached from w, which has
+    w(i) < w(i+1) as the shorter w*s_i are indexed first; and per generator i and
+    index w, the index of w*s_i and whether w(i) < w(i+1)."""
     perms, words, index = [tuple(range(n))], [[]], {tuple(range(n)): 0}
-    pairs: list[list[tuple[int, int]]] = [[] for _ in range(n - 1)]
-    ends: list[list[int]] = [[] for _ in range(n - 1)]
+    swaps, rises = [[] for _ in range(n - 1)], [[] for _ in range(n - 1)]
     for k, w in enumerate(perms):  # perms grows as the walk reaches longer ones
-        if k and len(words[k]) > len(words[k - 1]):  # the first of a new length
-            for row, end in zip(pairs, ends):
-                end.append(len(row))
         for i in range(n - 1):
-            if w[i] < w[i + 1]:
-                ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-                j = index.setdefault(ws, len(perms))
-                if j == len(perms):
-                    perms.append(ws)
-                    words.append(words[k] + [i + 1])
-                pairs[i].append((k, j))
-    return perms, words, pairs, ends
+            ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            j = index.setdefault(ws, len(perms))
+            if j == len(perms):
+                perms.append(ws)
+                words.append(words[k] + [i + 1])
+            swaps[i].append(j)
+            rises[i].append(w[i] < w[i + 1])
+    return words, swaps, rises
 
 
-def _hecke_product(n: int, indices: list[int], signs: list[int]) -> list[dict[int, int]]:
+def _hecke_product(n: int, indices: list[int], signs: list[int]) -> dict[int, dict[int, int]]:
     """The n-strand word with these letter indices and signs in H_n: its
-    coefficient on each T_w, keyed as in :func:`_walk`.  Past
-    :data:`_HECKE_BUDGET` it raises :class:`BudgetError` before it starts.
+    nonzero coefficients, {w: coefficient on T_w}, keyed as in :func:`_walk`.
+    Past :data:`_HECKE_BUDGET` it raises :class:`BudgetError` before it starts.
 
     Each monomial A^a*B^b on T_w has 2a + b + l(w) = e, the writhe, where l(w)
     is the length of w.  It holds on T_1, and with lo = w and hi = w*s_i each
     product moves 2a + b + l by the letter's sign: T_lo*T_i = T_hi (l + 1),
     T_hi*T_i = B*T_hi + A*T_lo (b + 1; a + 1, l - 1), T_hi*T_i^-1 = T_lo (l - 1)
     and T_lo*T_i^-1 = A^-1*T_hi - A^-1*B*T_lo (a - 1, l + 1; a - 1, b + 1).  So
-    only b is carried: a letter maps (p, q) on (T_lo, T_hi) to (q, p + B*q) if
-    positive, (q - B*p, p) if negative; a = (e - l(w) - b) / 2 is put back last.
-    Each product raises l by at most 1, so after t letters every T_w has
-    l(w) <= t, and the next letter sweeps only its pairs with l(lo) <= t.
+    only b is carried, and per entry: the coefficient c on T_w moves to
+    T_{w*s_i}, and when w(i) < w(i+1) differs from the letter being positive,
+    the letter's sign times B*c also lands on T_w; a = (e - l(w) - b) / 2 is
+    put back last.  A step costs the entries the product has reached.
     """
-    _, words, pairs, ends = _group(n)
+    words, swaps, rises = _group(n)
     if (cost := len(indices) ** 2 * len(words)) > _HECKE_BUDGET:
         raise BudgetError(f"{len(indices):,} letters on {n} strands cost {cost:,}, past the "
                           f"Hecke product's budget of {_HECKE_BUDGET:,} (letters squared times n!)")
-    element: list[dict[int, int]] = [{} for _ in words]
-    element[0][0] = 1  # T of the identity
-    for t, (index, sign) in enumerate(zip(indices, signs)):
-        row, end = pairs[index - 1], ends[index - 1]
-        for lo, hi in row[:end[t]] if t < len(end) else row:
-            p, q = element[lo], element[hi]
-            if not (p or q):
-                continue
-            into, terms = (p, q) if sign > 0 else (q, p)
-            for b, c in terms.items():
-                b += 1
-                c = into.get(b, 0) + sign * c
-                if c:
-                    into[b] = c
-                else:
-                    del into[b]
-            element[lo], element[hi] = q, p
+    element: dict[int, dict[int, int]] = {0: {0: 1}}  # T of the identity
+    for index, sign in zip(indices, signs):
+        swap, rise, up = swaps[index - 1], rises[index - 1], sign > 0
+        moved: dict[int, dict[int, int]] = {}
+        for w, coeff in element.items():
+            if rise[w] != up:
+                # in place: a letter reads the terms only of entries that get
+                # this add, and writes only into their partners, which never do
+                into = element.get(swap[w])
+                if into is None:
+                    into = moved[w] = {}
+                for b, c in coeff.items():
+                    b += 1
+                    if c := into.get(b, 0) + sign * c:
+                        into[b] = c
+                    else:
+                        del into[b]
+            moved[swap[w]] = coeff
+        element = moved
     writhe = sum(signs)
-    return [{((writhe - len(word) - b) >> 1) * _B_SPAN + b: c for b, c in coeff.items()}
-            if coeff else coeff for coeff, word in zip(element, words)]
+    return {w: {((writhe - len(words[w]) - b) >> 1) * _B_SPAN + b: c for b, c in coeff.items()}
+            for w, coeff in element.items() if coeff}
 
 
-def _dot(element: list[dict[int, int]], n: int, basepoint: int) -> SkeinVector:
+def _dot(element: dict[int, dict[int, int]], n: int, basepoint: int) -> SkeinVector:
     """resolve of an element of H_n, from the table of resolve(T_w)."""
-    words = _group(n)[1]
-    table = _TABLES.get((n, basepoint))
-    if table is None:
-        table = _TABLES[n, basepoint] = [None] * len(words)
+    words = _group(n)[0]
+    table = _TABLES.setdefault((n, basepoint), {})
     totals: dict[tuple[int, ...], dict[int, int]] = {}
-    for w in itertools.compress(range(len(element)), element):
-        coeff = element[w]
-        entry = table[w]
+    for w, coeff in element.items():
+        entry = table.get(w)
         if entry is None:
             walked = _walk(n, words[w], [1] * len(words[w]), basepoint)
             entry = table[w] = tuple((parts, k, c) for parts, terms in walked.items()
@@ -401,8 +396,14 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
 
 
 def compare_basepoints(word: BraidWord) -> dict[int, SkeinVector]:
-    """Resolution from every basepoint, for inspecting how they differ."""
-    return dict(enumerate(_resolved(word, range(1, word.strand_count + 1)), 1))
+    """Resolution from every basepoint, for inspecting how they differ.  One
+    walk per basepoint makes its work grow like n*n on n strands, so past
+    :data:`_STRAND_BUDGET` strand-steps it raises :class:`BudgetError` first."""
+    n = word.strand_count
+    if n * n > _STRAND_BUDGET:
+        raise BudgetError(f"{n:,} basepoints on {n:,} strands take {n * n:,} strand-steps, "
+                          f"past the budget of {_STRAND_BUDGET:,}")
+    return dict(enumerate(_resolved(word, range(1, n + 1)), 1))
 
 
 def _resolved(word: BraidWord, basepoints: Sequence[int]) -> list[SkeinVector]:

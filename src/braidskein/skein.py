@@ -39,6 +39,9 @@ class Laurent:
     def __init__(self, terms: Mapping = ()):
         if type(terms) is not dict:
             terms = dict(terms)  # any mapping, or (key, coeff) pairs
+        for key, c in terms.items():
+            if not self._is_key(key) or type(c) is not int:
+                raise RingDomainError(f"{key!r}: {c!r} is not a term of {type(self).__name__}")
         self._terms = {key: c for key, c in terms.items() if c}
 
     @classmethod
@@ -93,6 +96,10 @@ class Laurent:
         return self._of({key: c for key, c in out.items() if c})
 
     # -- per-type hooks ------------------------------------------------------
+
+    @staticmethod
+    def _is_key(key) -> bool:
+        return type(key) is tuple and len(key) == 2 and type(key[0]) is type(key[1]) is int
 
     @staticmethod
     def _term_order(term):
@@ -191,6 +198,8 @@ class SkeinVector:
     def __init__(self, strand_count: int, entries: Mapping[tuple[int, ...], LaurentAB] = ()):
         entries = dict(entries)
         for parts in sorted(entries, reverse=True):
+            if type(entries[parts]) is not LaurentAB:
+                raise RingDomainError(f"coefficient {entries[parts]!r} of {parts} is not a LaurentAB")
             # non-increasing, positive and summing to strand_count
             if (sum(parts) != strand_count or sorted(parts, reverse=True) != [*parts]
                     or (parts and parts[-1] < 1)):

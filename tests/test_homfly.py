@@ -21,7 +21,7 @@ from braidskein.homfly import (
     to_homfly,
 )
 from braidskein.resolution import BudgetError, resolve
-from braidskein.skein import A, A_INV, B, NEG_A_INV_B, LaurentAB, SkeinVector
+from braidskein.skein import A, A_INV, B, NEG_A_INV_B, LaurentAB, RingDomainError, SkeinVector
 from braidskein.words import BraidWord, basis_braid, parse_word, partitions_of
 
 from test_skein import polys
@@ -315,6 +315,17 @@ def test_jones_format():
     assert JonesPoly({2: 3}).format() == "3*t"
     assert JonesPoly({-1: -1}).format() == "-t^(-1/2)"
     assert JonesPoly({0: 1}) == JonesPoly.one()
+
+
+def test_polynomials_check_their_keys_and_coefficients():
+    # HomflyPoly keys are (l, m) exponent pairs, JonesPoly keys one exponent
+    for cls, terms in ((HomflyPoly, {("l", "m"): 1}), (HomflyPoly, {(0, 0): 0.5}),
+                       (HomflyPoly, {0: 1}), (JonesPoly, {(0, 0): 1}),
+                       (JonesPoly, {0.5: 1}), (JonesPoly, {0: 1.0})):
+        with pytest.raises(RingDomainError, match=f"is not a term of {cls.__name__}$"):
+            cls(terms)
+    assert HomflyPoly({(-1, 3): 2}).terms() == {(-1, 3): 2}
+    assert JonesPoly({-3: 2}).terms() == {-3: 2}
 
 
 def test_jones_rejects_what_no_link_has():

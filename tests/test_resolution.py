@@ -6,7 +6,7 @@ import itertools
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidskein import resolution
 from braidskein.analysis import nugatory_scan, parity_consistency
@@ -284,14 +284,29 @@ def test_hecke_product_is_graded(w):
     # every monomial A^a*B^b on T_w has 2a + b + l(w) = writhe; a term off
     # the grading would have its a silently floored by the product's >> 1
     n = w.strand_count
-    words = resolution._group(n)[1]
+    words = resolution._group(n)[0]
     writhe = sum(letter.sign for letter in w.letters)
-    element = resolution._hecke_product(n, *lists(w))
-    for word, coeff in zip(words, element):
-        length = inversions(permutation(BraidWord.from_signed(n, word)))
+    for v, coeff in resolution._hecke_product(n, *lists(w)).items():
+        length = inversions(permutation(BraidWord.from_signed(n, words[v])))
         for key, c in coeff.items():
             a, b = divmod(key, resolution._B_SPAN)
             assert c != 0 and 2 * a + b + length == writhe
+
+
+def test_the_empty_word_reaches_only_the_identity():
+    assert resolution._hecke_product(6, [], []) == {0: {0: 1}}
+
+
+@given(gapped_words(max_strands=6))
+@example(BraidWord.from_signed(2, [-1, 1]))
+@settings(deadline=None)
+def test_hecke_product_holds_only_what_it_reaches(w):
+    # each letter raises l(w) by at most one, and an entry whose terms all
+    # cancel is dropped: sigma_1^-1 sigma_1 leaves A^-1*B - A^-1*B on T_{s_1}
+    words = resolution._group(w.strand_count)[0]
+    element = resolution._hecke_product(w.strand_count, *lists(w))
+    assert all(element.values())
+    assert all(len(words[v]) <= len(w.letters) for v in element)
 
 
 def inversions(perm: tuple[int, ...]) -> int:
@@ -300,27 +315,19 @@ def inversions(perm: tuple[int, ...]) -> int:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_group_walks_every_permutation_once(n):
-    perms, words, pairs, ends = resolution._group(n)
-    assert len(set(perms)) == len(perms) == len(words) == math.factorial(n)
-    for perm, word in zip(perms, words):
-        image = permutation(BraidWord.from_signed(n, word))
-        # the word is positive and reduced, and it takes the strand at
-        # bottom position p from top position perm[p - 1] + 1
-        assert all(i > 0 for i in word) and inversions(image) == len(word)
-        assert [image[x] for x in perm] == list(range(1, n + 1))
-    assert len(pairs) == len(ends) == n - 1
-    for i, (row, end) in enumerate(zip(pairs, ends)):
-        assert [lo for lo, _ in row] == [k for k, w in enumerate(perms) if w[i] < w[i + 1]]
-        for lo, hi in row:
-            w = perms[lo]
-            assert perms[hi] == w[:i] + (w[i + 1], w[i]) + w[i + 2:]
-            assert len(words[hi]) == len(words[lo]) + 1
-        # sorted by l(lo), with end[k] pairs of l(lo) <= k, up to the longest
-        # w that has w(i) < w(i + 1), one short of the longest permutation
-        lengths = [len(words[lo]) for lo, _ in row]
-        assert lengths == sorted(lengths)
-        assert end == [sum(l <= k for l in lengths) for k in range(n * (n - 1) // 2)]
-        assert end[-1] == len(row)
+    words, swaps, rises = resolution._group(n)
+    perms = [permutation(BraidWord.from_signed(n, word)) for word in words]
+    assert len(set(perms)) == len(perms) == math.factorial(n)
+    for word, perm in zip(words, perms):
+        # the word is positive and reduced
+        assert all(i > 0 for i in word) and inversions(perm) == len(word)
+    assert len(swaps) == len(rises) == n - 1
+    for i, (swap, rise) in enumerate(zip(swaps, rises), 1):
+        assert len(swap) == len(rise) == len(words)
+        for w, (partner, up) in enumerate(zip(swap, rise)):
+            assert swap[partner] == w
+            assert perms[partner] == permutation(BraidWord.from_signed(n, [*words[w], i]))
+            assert up == (len(words[w]) < len(words[partner]))
 
 
 def test_search_stops_at_its_leaf_budget(monkeypatch):
@@ -341,6 +348,19 @@ def test_every_walk_stops_at_the_strand_budget(monkeypatch):
     for walk in (resolve, label_only, resolution_tree):
         with pytest.raises(BudgetError, match="4 strands exceed the budget of 3 strands"):
             walk(w)
+
+
+def test_compare_basepoints_stops_at_the_strand_budget(monkeypatch):
+    # one walk per basepoint takes n*n strand-steps, checked before any walk;
+    # seven strands run the search, which calls _walk at every basepoint
+    w = parse_word("7: 1 -2 3")
+    monkeypatch.setattr(resolution, "_STRAND_BUDGET", 49)
+    assert compare_basepoints(w) == {bp: resolve(w, bp) for bp in range(1, 8)}
+    monkeypatch.setattr(resolution, "_STRAND_BUDGET", 48)
+    monkeypatch.setattr(resolution, "_walk", None)
+    with pytest.raises(BudgetError, match="^7 basepoints on 7 strands take 49 strand-steps, "
+                                          "past the budget of 48$"):
+        compare_basepoints(w)
 
 
 def test_hecke_product_stops_at_its_budget(monkeypatch):

@@ -49,6 +49,24 @@ def test_terms_as_pairs_check_the_b_exponent():
         LaurentAB([((0, -1), 1)])
 
 
+@pytest.mark.parametrize("terms", [
+    {(0.5, 0): 1}, {(0, 0): 0.5}, {(0, True): 1}, {(0, 0): True},
+    {(0,): 1}, {(0, 0, 0): 1}, {0: 1}, {"0,0": 1},
+])
+def test_terms_off_the_ring_rejected(terms):
+    # the docs promise checked input: an exponent key is a pair of ints, and
+    # a coefficient an int, even where it is zero
+    with pytest.raises(RingDomainError, match="is not a term of LaurentAB$"):
+        LaurentAB(terms)
+
+
+def test_vector_coefficients_must_be_laurent():
+    # an int coefficient would break format() and the bridge later on
+    for coeff in (7, 0, 1.0, {(0, 0): 1}):
+        with pytest.raises(RingDomainError, match="is not a LaurentAB$"):
+            SkeinVector(1, {(1,): coeff})
+
+
 def test_zero_terms_dropped():
     assert LaurentAB({(1, 0): 0}) == LaurentAB.zero()
     assert not (A - A)
