@@ -34,19 +34,24 @@ agrees with a linear functional on H_n: on every word the tests try, at
 every basepoint, it equals the element the word multiplies out to, dotted
 with the resolutions of the basis elements T_w.  So on up to
 :data:`_HECKE_MAX_STRANDS` strands :func:`resolve` multiplies the word out
-letter by letter, each step costing the element's support rather than a
-leaf per diagram, and reads each resolve(T_w) from a table that the search
-fills once, on the reduced positive word by which :func:`_group` first
-reaches w from the identity; every reduced word of w multiplies out to the
-same T_w, so the choice does not matter.  The element is graded, so the
-product carries only B's exponent and puts A's back at the end, from the
-writhe and the length of w (:func:`_hecke_product`), and it holds only the
-T_w that it has reached: T_1 at first, and at most twice as many after each
-letter.  The table holds up to n*n! entries per strand count, 5039 through
-six strands; a seventh strand alone would add 35,280, so wider words keep
-the search.  The support reaches at most n! elements and the B-degrees of
-the coefficients grow with the word, so the product's work grows at most
-like the square of the length times n!, and it stops at :data:`_HECKE_BUDGET`.
+letter by letter (:func:`_hecke_product`), each step costing the T_w the
+element has reached rather than a leaf per diagram.  The element is graded,
+2a + b + l(w) equal to the writhe on each monomial A^a*B^b of T_w, so b
+fixes a, and all b on one T_w share a parity: each coefficient is one int,
+every other B-degree a digit of a fixed width.  A letter moves each int to
+its partner and shifts and adds some of them, with no loop over the terms.
+The dot (:func:`_dot`) reads resolve(T_w) from a table that the search fills
+once, on the reduced positive word by which :func:`_group` first reaches w
+from the identity (every reduced word of w multiplies out to the same T_w,
+so the choice does not matter), and merges into one class the w whose terms
+add alike to a packed coefficient.  At basepoint 1, where the resolution is a
+trace on H_n (Geck & Pfeiffer, Adv. Math. 102, 1993), the classes are far
+fewer than n!: 91 of 720 on six strands, against 148-220 elsewhere.  It sums
+the ints of each class, applies each class's terms once and decodes the
+digits at the end.  The tables through six strands take 3.1 MB when full; a
+seventh strand alone would have 5040 basis elements, so wider words keep the
+search.  Each letter charges its entries times the bits of a packed
+coefficient, and the product stops at :data:`_HECKE_BUDGET`.
 
 :func:`resolve` and :func:`compare_basepoints` share one path to either
 engine (:func:`_resolved`), which cancels each letter against a later
@@ -146,12 +151,11 @@ def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
 
 # -- depth-first walk ---------------------------------------------------------
 #
-# The search and the table key a coefficient c*A^a*B^b of Z[A^+-1, B] as
-# a * _B_SPAN + b; the Hecke product keys it by b alone as it multiplies and
-# packs its keys the same way once, at the end.  B's exponent stays below the
-# word length plus ten, far below _B_SPAN, so each key names one monomial,
-# multiplying by a monomial adds a constant to every key, and
-# divmod(key, _B_SPAN) gives back (a, b).
+# The search keys a coefficient c*A^a*B^b of Z[A^+-1, B] as a * _B_SPAN + b
+# (the Hecke product packs B's exponents into the digits of one int instead).
+# B's exponent stays below the word length plus ten, far below _B_SPAN, so
+# each key names one monomial, multiplying by a monomial adds a constant to
+# every key, and divmod(key, _B_SPAN) gives back (a, b).
 
 _B_SPAN = 1 << 40
 _UNSEEN, _GOOD, _GONE = 0, 1, 2
@@ -274,23 +278,29 @@ def _walk(n: int, indices: list[int], signs: list[int],
 # -- Hecke product ----------------------------------------------------------------
 
 _HECKE_MAX_STRANDS = 6
-# letters squared times n! that one product may cost: the work tracks this at
-# 2.3e-8 to 4.4e-8 s a unit on two cores (2,000 random positive letters took
-# 0.66-1.06 s on three strands, 600 took 1.00-1.68 s on five, and 480 took
-# 4.0-5.6 s on six, at a cost of 165,888,000), so the budget takes 4-8 s; a
-# flype side, at most 3,000 letters on three strands, costs at most 54,000,000
-_HECKE_BUDGET = 180_000_000
-# (n, basepoint) -> {permutation index: the (partition, monomial key, coeff)
-# terms of resolve(T_w)}, filled as the products reach each w
-_TABLES: dict[tuple[int, int], dict[int, tuple[tuple[tuple[int, ...], int, int], ...]]] = {}
+# entries times packed bits that one product may charge, summed over its
+# letters: on words that cost over 10**9 the time tracks this at 0.04-0.07 ns a
+# unit on two cores (6,600 letters of sigma_1 on two strands cost 99,869,765,232
+# and took 6.3 s; 505 letters of (1 2 3 4 5) on six, 16,493,761,734 and 1.2 s),
+# so no word it admits takes much past 7 s; a flype side, at most 3,000 letters
+# on three strands, costs at most 6 * 3,005 * 2,251,500 = 40,594,545,000
+_HECKE_BUDGET = 100_000_000_000
+# letters past which a product takes its digit width from a first pass's bound
+# on the element's 1-norm (_norm_bound), about 0.69 bits a letter on positive
+# words against 1; on shorter words the pass costs more than its narrower
+# digits save (the two broke even near 400 letters on two and three strands)
+_SHARP_LETTERS = 400
+# (n, basepoint) -> the classes of resolve(T_w) for the w the products have reached
+_TABLES: dict[tuple[int, int], _Table] = {}
 
 
 @functools.cache
 def _group(n: int):
     """The permutations of n, breadth-first from the identity: a reduced positive
     word of each, w's followed by i for the w*s_i first reached from w, which has
-    w(i) < w(i+1) as the shorter w*s_i are indexed first; and per generator i and
-    index w, the index of w*s_i and whether w(i) < w(i+1)."""
+    w(i) < w(i+1) as the shorter w*s_i are indexed first; per generator i and
+    index w, the index of w*s_i and whether w(i) < w(i+1); and per index, the
+    parity of the length l(w)."""
     perms, words, index = [tuple(range(n))], [[]], {tuple(range(n)): 0}
     swaps, rises = [[] for _ in range(n - 1)], [[] for _ in range(n - 1)]
     for k, w in enumerate(perms):  # perms grows as the walk reaches longer ones
@@ -302,71 +312,201 @@ def _group(n: int):
                 words.append(words[k] + [i + 1])
             swaps[i].append(j)
             rises[i].append(w[i] < w[i + 1])
-    return words, swaps, rises
+    return words, swaps, rises, [len(word) & 1 for word in words]
 
 
-def _hecke_product(n: int, indices: list[int], signs: list[int]) -> dict[int, dict[int, int]]:
+def _hecke_product(n: int, indices: list[int], signs: list[int]) -> tuple[dict[int, int], int]:
     """The n-strand word with these letter indices and signs in H_n: its
-    nonzero coefficients, {w: coefficient on T_w}, keyed as in :func:`_walk`.
-    Past :data:`_HECKE_BUDGET` it raises :class:`BudgetError` before it starts.
+    nonzero coefficients {w: packed coefficient on T_w}, and the digit width.
 
     Each monomial A^a*B^b on T_w has 2a + b + l(w) = e, the writhe, where l(w)
     is the length of w.  It holds on T_1, and with lo = w and hi = w*s_i each
     product moves 2a + b + l by the letter's sign: T_lo*T_i = T_hi (l + 1),
     T_hi*T_i = B*T_hi + A*T_lo (b + 1; a + 1, l - 1), T_hi*T_i^-1 = T_lo (l - 1)
     and T_lo*T_i^-1 = A^-1*T_hi - A^-1*B*T_lo (a - 1, l + 1; a - 1, b + 1).  So
-    only b is carried, and per entry: the coefficient c on T_w moves to
-    T_{w*s_i}, and when w(i) < w(i+1) differs from the letter being positive,
-    the letter's sign times B*c also lands on T_w; a = (e - l(w) - b) / 2 is
-    put back last.  A step costs the entries the product has reached.
+    b fixes a, and every b on T_w has the parity p of e - l(w): the coefficient
+    is packed into one int as the sum of c_b << width*(b >> 1), every other
+    B-degree.  Per entry, the coefficient on T_w moves to T_{w*s_i} unchanged
+    (e and l both move by one, so p stays), and when w(i) < w(i+1) differs
+    from the letter being positive, the letter's sign times B*c also lands on
+    T_w, where p flips: b + 1 >> 1 is (b >> 1) + p, a shift by one digit
+    exactly when p is odd.
+
+    The digits are balanced, each below 2**(width - 1) in size, with width =
+    U.bit_length() + n(n-1)/2 + 1, where U bounds the element's 1-norm (the
+    sum of the sizes of all its coefficients).  A letter maps T_w to
+    T_{w*s_i} or to T_{w*s_i} plus or minus B*T_w, so it at most doubles the
+    1-norm, which starts at 1: U = 2**L for the L letters, and width = L +
+    n(n-1)/2 + 2, or past :data:`_SHARP_LETTERS` letters the sharper
+    :func:`_norm_bound`.  Every digit of the product is at most U.
+    :func:`_dot` sums digits times the coefficients of a table entry, whose
+    1-norm is at most its leaf count, 2**l(w) <= 2**(n(n-1)/2), so each digit
+    it decodes is at most U * 2**(n(n-1)/2) < 2**(width - 1) too, and zero
+    only when the coefficient is.
+
+    Each letter charges the entries it steps times the bits of a packed
+    coefficient so far (B's degree is at most the letters read), and past
+    :data:`_HECKE_BUDGET` it raises :class:`BudgetError`.
     """
-    words, swaps, rises = _group(n)
-    if (cost := len(indices) ** 2 * len(words)) > _HECKE_BUDGET:
-        raise BudgetError(f"{len(indices):,} letters on {n} strands cost {cost:,}, past the "
-                          f"Hecke product's budget of {_HECKE_BUDGET:,} (letters squared times n!)")
-    element: dict[int, dict[int, int]] = {0: {0: 1}}  # T of the identity
-    for index, sign in zip(indices, signs):
-        swap, rise, up = swaps[index - 1], rises[index - 1], sign > 0
-        moved: dict[int, dict[int, int]] = {}
-        for w, coeff in element.items():
+    _, swaps, rises, odd = _group(n)
+    bound = _norm_bound(n, indices, signs) if len(indices) > _SHARP_LETTERS else 1 << len(indices)
+    width = bound.bit_length() + n * (n - 1) // 2 + 1
+    # by the parity of the letters read, which is the writhe's, then of l(w)
+    shifts = ((0, width), (width, 0))
+    element, spent, limit = {0: 1}, 0, _HECKE_BUDGET // width  # T of the identity
+    for k, (index, sign) in enumerate(zip(indices, signs)):
+        spent += len(element) * ((k >> 1) + 1)  # entries times digits, each width bits
+        if spent > limit:
+            raise _over_budget(n, indices)
+        swap, rise, up, shift = swaps[index - 1], rises[index - 1], sign > 0, shifts[k & 1]
+        moved = {swap[w]: c for w, c in element.items()}
+        for w, c in element.items():
             if rise[w] != up:
-                # in place: a letter reads the terms only of entries that get
-                # this add, and writes only into their partners, which never do
-                into = element.get(swap[w])
-                if into is None:
-                    into = moved[w] = {}
-                for b, c in coeff.items():
-                    b += 1
-                    if c := into.get(b, 0) + sign * c:
-                        into[b] = c
-                    else:
-                        del into[b]
-            moved[swap[w]] = coeff
+                c <<= shift[odd[w]]
+                if c := moved.get(w, 0) + c if up else moved.get(w, 0) - c:
+                    moved[w] = c
+                else:
+                    del moved[w]
         element = moved
-    writhe = sum(signs)
-    return {w: {((writhe - len(words[w]) - b) >> 1) * _B_SPAN + b: c for b, c in coeff.items()}
-            for w, coeff in element.items() if coeff}
+    return element, width
 
 
-def _dot(element: dict[int, dict[int, int]], n: int, basepoint: int) -> SkeinVector:
-    """resolve of an element of H_n, from the table of resolve(T_w)."""
-    words = _group(n)[0]
-    table = _TABLES.setdefault((n, basepoint), {})
-    totals: dict[tuple[int, ...], dict[int, int]] = {}
-    for w, coeff in element.items():
-        entry = table.get(w)
-        if entry is None:
-            walked = _walk(n, words[w], [1] * len(words[w]), basepoint)
-            entry = table[w] = tuple((parts, k, c) for parts, terms in walked.items()
-                                     for k, c in terms.items() if c)
-        for parts, shift, c in entry:
-            out = totals.get(parts)
+def _norm_bound(n: int, indices: list[int], signs: list[int]) -> int:
+    """A bound on the 1-norm of the word's element in H_n, from the product
+    run on bounds: each letter moves the bound on T_w to T_{w*s_i}, and adds
+    it to the bound there too where :func:`_hecke_product` adds B*c.  The
+    bound only grows, so the product charges each letter at least one entry
+    of digits as wide as the bound so far gives, and once that passes
+    :data:`_HECKE_BUDGET` it raises :class:`BudgetError` at once."""
+    _, swaps, rises, _ = _group(n)
+    bounds, total, least = {0: 1}, 1, 0
+    for k, (index, sign) in enumerate(zip(indices, signs)):
+        least += ((k >> 1) + 1) * (total.bit_length() + n * (n - 1) // 2 + 1)
+        if least > _HECKE_BUDGET:
+            raise _over_budget(n, indices)
+        swap, rise, up = swaps[index - 1], rises[index - 1], sign > 0
+        moved = {swap[w]: u for w, u in bounds.items()}
+        for w, u in bounds.items():
+            if rise[w] != up:
+                moved[w] = moved.get(w, 0) + u
+                total += u
+        bounds = moved
+    return total
+
+
+def _over_budget(n: int, indices: list[int]) -> BudgetError:
+    return BudgetError(f"{len(indices):,} letters on {n} strands pass the Hecke product's "
+                       f"budget of {_HECKE_BUDGET:,} (entries times packed bits)")
+
+
+class _Table(NamedTuple):
+    """resolve(T_w) at one (n, basepoint), for the w reached so far.
+
+    ``classes[w]`` indexes ``terms``, whose entry holds, per parity of the
+    writhe, the (slot, shift, coeff) triples of its class (:func:`_dot`);
+    ``ids`` finds a class by that entry, ``slots`` a slot by its (partition,
+    line - e), and ``keys`` lists those by slot."""
+
+    classes: dict[int, int]
+    terms: list[tuple[tuple[tuple[int, int, int], ...], ...]]
+    ids: dict[tuple, int]
+    slots: dict[tuple[tuple[int, ...], int], int]
+    keys: list[tuple[tuple[int, ...], int]]
+
+
+def _class(table: _Table, n: int, basepoint: int, w: int) -> int:
+    """Fill table's entry for w from the search on its reduced positive word,
+    and return its class."""
+    word = _group(n)[0][w]
+    half, odd = len(word) >> 1, len(word) & 1
+    terms = []
+    for parts, keys in _walk(n, word, [1] * len(word), basepoint).items():
+        for k, c in keys.items():
+            if c:
+                a, b = divmod(k, _B_SPAN)
+                line = (parts, 2 * (a - half) + b - odd)
+                slot = table.slots.setdefault(line, len(table.keys))
+                if slot == len(table.keys):
+                    table.keys.append(line)
+                terms.append((slot, b, c))
+    # what a packed coefficient on T_w adds to each slot, per parity of the
+    # writhe: the class's key, held once
+    pair = tuple(tuple(sorted((slot, (p + b) >> 1, c) for slot, b, c in terms))
+                 for p in (odd, odd ^ 1))
+    k = table.ids.setdefault(pair, len(table.terms))
+    if k == len(table.terms):
+        table.terms.append(pair)
+    table.classes[w] = k
+    return k
+
+
+def _digits(x: int, width: int, count: int) -> list[int]:
+    """The count lowest balanced base-2**width digits of x, lowest first, each
+    of size below 2**(width - 1).  It splits x in halves down to a few digits,
+    so the work grows near-linearly in x's size, where peeling each digit off
+    in turn would copy x once per digit."""
+    if count > 8:
+        low = count >> 1
+        bits = low * width
+        rest, x = x >> bits, x & ((1 << bits) - 1)
+        if x >> (bits - 1):  # the low half is negative: borrow from the rest
+            x, rest = x - (1 << bits), rest + 1
+        return _digits(x, width, low) + _digits(rest, width, count - low)
+    out, mask = [], (1 << width) - 1
+    for _ in range(count):
+        d = x & mask
+        x >>= width
+        if d >> (width - 1):
+            d, x = d - (1 << width), x + 1
+        out.append(d)
+    return out
+
+
+def _dot(element: dict[int, int], width: int, writhe: int, n: int, basepoint: int) -> SkeinVector:
+    """resolve of an element of H_n, packed as :func:`_hecke_product` packs it.
+
+    A table term c*A^s*B^t of resolve(T_w) takes digit j of T_w's coefficient,
+    the monomial A^a*B^b with b = 2j + p, to A^(a+s)*B^(b+t), on the line
+    2(a+s) + (b+t) = e - l(w) + 2s + t; its B-degree is 2D + (that line's
+    parity), with D = j + ((p + t) >> 1).  So the term adds c times the packed
+    coefficient, shifted by (p + t) >> 1 digits, into one accumulator per
+    (partition, line - e), whose digit D is then the coefficient of its
+    monomial.  Two w share a class when a packed coefficient on either adds
+    the same to every slot at both parities of e, as when l(w) has the same
+    parity and their terms are equal once s is taken relative to l(w) >> 1;
+    so the packed coefficients of a class are summed first and its terms
+    applied once.  Each accumulator is decoded once, at the end
+    (:func:`_digits`), and its digits stay below 2**(width - 1) in size, as
+    :func:`_hecke_product` shows.
+    """
+    table = _TABLES.get((n, basepoint))
+    if table is None:
+        table = _TABLES[n, basepoint] = _Table({}, [], {}, {}, [])
+    classes, sums = table.classes, {}
+    for w, c in element.items():
+        k = classes.get(w)
+        if k is None:
+            k = _class(table, n, basepoint, w)
+        sums[k] = sums.get(k, 0) + c
+    terms, parity, accs = table.terms, writhe & 1, {}
+    for k, s in sums.items():
+        if s:
+            for slot, shift, c in terms[k][parity]:
+                accs[slot] = accs.get(slot, 0) + (c * s << width * shift)
+    keys, entries = table.keys, {}
+    for slot, x in accs.items():
+        if x:
+            parts, g = keys[slot]
+            g += writhe
+            out = entries.get(parts)
             if out is None:
-                out = totals[parts] = {}
-            for k, d in coeff.items():
-                k += shift
-                out[k] = out.get(k, 0) + c * d
-    return SkeinVector._of(n, {parts: _laurent(out) for parts, out in totals.items()})
+                out = entries[parts] = {}
+            b = g & 1
+            for c in _digits(x, width, x.bit_length() // width + 1):
+                if c:
+                    out[(g - b) >> 1, b] = c
+                b += 2
+    return SkeinVector._of(n, {parts: LaurentAB._of(out) for parts, out in entries.items()})
 
 
 # -- entry points ------------------------------------------------------------------
@@ -389,7 +529,7 @@ def resolve(word: BraidWord, basepoint: int = 1) -> SkeinVector:
     polynomially with the word length, and stops with
     :class:`BudgetError` past :data:`_HECKE_BUDGET`; on seven or more it runs
     the depth-first search, whose work grows exponentially with it,
-    because the table would have n*n! entries (see the module docstring),
+    because the table would have n! entries (see the module docstring),
     and stops with :class:`BudgetError` past :data:`_LEAF_BUDGET` leaves.
     """
     return _resolved(word, (basepoint,))[0]
@@ -416,8 +556,8 @@ def _resolved(word: BraidWord, basepoints: Sequence[int]) -> list[SkeinVector]:
     if len(kept) < len(indices):
         indices, signs = [indices[k] for k in kept], [signs[k] for k in kept]
     if n <= _HECKE_MAX_STRANDS:
-        element = _hecke_product(n, indices, signs)
-        return [_dot(element, n, bp) for bp in basepoints]
+        element, width = _hecke_product(n, indices, signs)
+        return [_dot(element, width, sum(signs), n, bp) for bp in basepoints]
     return [_search_vector(n, indices, signs, bp) for bp in basepoints]
 
 

@@ -247,9 +247,10 @@ def test_selftest_quick_json(capsys):
     *((command, "5002: 1") for command in ("homfly", "mfw", "jones")),
     # over the flype's letter budget; past 2**63 letters it overflowed a C index
     ("flype-test", "99999999999999999999", "0", "0", "1"),
-    # over the Hecke product's budget, on five and on six strands
+    # over the Hecke product's budget, on five and on six strands: each stops
+    # once its running charge passes it, after 4-5 s
     ("resolve", "5:" + " 1 2 3 4" * 500),
-    ("resolve", "6:" + " 1 2 3 4 5" * 101),
+    ("resolve", "6:" + " 1 2 3 4 5" * 240),
 ])
 def test_bad_inputs_exit_two(capsys, argv):
     assert run(capsys, *argv)[0] == 2

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -278,23 +279,91 @@ def test_hecke_path_covers_one_to_six_strands():
     assert {n for n, _ in resolution._TABLES} == {1, 2, 3, 4, 5, 6}
 
 
+# -- the packed product, decoded here ----------------------------------------------
+#
+# The product packs the coefficient on T_w into one int, balanced digits of
+# width bits, digit j standing for B^(2j + p) with p the parity of the
+# writhe minus l(w); A's exponent follows from the grading 2a + b + l(w) =
+# writhe.  The decoder below peels one digit at a time and shares nothing
+# with the package's.
+
+
+def unpack(x: int, width: int) -> dict[int, int]:
+    """The nonzero balanced base-2**width digits of x, {index: digit}."""
+    assert width >= 2
+    digits, j = {}, 0
+    while x:
+        d = x % (1 << width)
+        if d >= 1 << (width - 1):
+            d -= 1 << width
+        if d:
+            digits[j] = d
+        x = (x - d) >> width
+        j += 1
+    return digits
+
+
+def reference_product(n: int, signed) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
+    """The word in H_n as {w: {(a, b): coeff}}, w a tuple of positions,
+    multiplied out with A carried: T_lo*T_i = T_hi, T_hi*T_i = B*T_hi + A*T_lo,
+    T_hi*T_i^-1 = T_lo and T_lo*T_i^-1 = A^-1*T_hi - A^-1*B*T_lo."""
+    element = {tuple(range(n)): {(0, 0): 1}}
+    for x in signed:
+        i, out = abs(x) - 1, {}
+        for w, coeff in element.items():
+            ws = w[:i] + (w[i + 1], w[i]) + w[i + 2:]
+            lo = w[i] < w[i + 1]
+            steps = ([(ws, 0, 0, 1)] if lo else [(ws, 1, 0, 1), (w, 0, 1, 1)]) if x > 0 else \
+                ([(ws, -1, 0, 1), (w, -1, 1, -1)] if lo else [(ws, 0, 0, 1)])
+            for v, da, db, sign in steps:
+                into = out.setdefault(v, {})
+                for (a, b), c in coeff.items():
+                    into[a + da, b + db] = into.get((a + da, b + db), 0) + sign * c
+        element = {v: nonzero for v, coeff in out.items()
+                   if (nonzero := {k: c for k, c in coeff.items() if c})}
+    return element
+
+
+def position_tuple(n: int, word) -> tuple[int, ...]:
+    """The positions reached by swapping i and i + 1 for each letter i in turn."""
+    w = list(range(n))
+    for i in word:
+        w[i - 1], w[i] = w[i], w[i - 1]
+    return tuple(w)
+
+
+def decoded_product(w: BraidWord) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
+    """The packed product of w, decoded with A put back from the grading."""
+    n, writhe = w.strand_count, sum(letter.sign for letter in w.letters)
+    words = resolution._group(n)[0]
+    element, width = resolution._hecke_product(n, *lists(w))
+    out = {}
+    for v, x in element.items():
+        rest = writhe - len(words[v])
+        out[position_tuple(n, words[v])] = {
+            ((rest - b) >> 1, b): c
+            for j, c in unpack(x, width).items() for b in [2 * j + (rest & 1)]}
+    return out
+
+
 @given(st.one_of(st.just(BraidWord(1, [])), gapped_words(max_strands=6, max_len=20)))
 @settings(deadline=None)
 def test_hecke_product_is_graded(w):
-    # every monomial A^a*B^b on T_w has 2a + b + l(w) = writhe; a term off
-    # the grading would have its a silently floored by the product's >> 1
-    n = w.strand_count
-    words = resolution._group(n)[0]
-    writhe = sum(letter.sign for letter in w.letters)
-    for v, coeff in resolution._hecke_product(n, *lists(w)).items():
-        length = inversions(permutation(BraidWord.from_signed(n, words[v])))
-        for key, c in coeff.items():
-            a, b = divmod(key, resolution._B_SPAN)
-            assert c != 0 and 2 * a + b + length == writhe
+    # the reference carries A itself, so a term off the grading 2a + b +
+    # l(w) = writhe would decode to the wrong power of A; so would a digit
+    # too narrow for its coefficient, also at the width a long word takes
+    want = reference_product(w.strand_count, w.signed_indices())
+    assert decoded_product(w) == want
+    with mock.patch.object(resolution, "_SHARP_LETTERS", -1):
+        assert decoded_product(w) == want
+    # the 1-norm bound that width rests on
+    assert sum(abs(c) for coeff in want.values() for c in coeff.values()) \
+        <= resolution._norm_bound(w.strand_count, *lists(w)) <= 1 << len(w.letters)
 
 
 def test_the_empty_word_reaches_only_the_identity():
-    assert resolution._hecke_product(6, [], []) == {0: {0: 1}}
+    # width: no letters, plus n(n-1)/2 = 15, plus 2
+    assert resolution._hecke_product(6, [], []) == ({0: 1}, 17)
 
 
 @given(gapped_words(max_strands=6))
@@ -304,9 +373,47 @@ def test_hecke_product_holds_only_what_it_reaches(w):
     # each letter raises l(w) by at most one, and an entry whose terms all
     # cancel is dropped: sigma_1^-1 sigma_1 leaves A^-1*B - A^-1*B on T_{s_1}
     words = resolution._group(w.strand_count)[0]
-    element = resolution._hecke_product(w.strand_count, *lists(w))
+    element, _ = resolution._hecke_product(w.strand_count, *lists(w))
     assert all(element.values())
     assert all(len(words[v]) <= len(w.letters) for v in element)
+
+
+@st.composite
+def digit_runs(draw):
+    """A width and balanced digits of up to 2**(width - 1) - 1 in size, in
+    runs of up to several hundred, often at the extremes."""
+    width = draw(st.integers(2, 80))
+    top = (1 << (width - 1)) - 1
+    digit = st.one_of(st.integers(-top, top), st.sampled_from([-top, top, 0, 1, -1]))
+    return width, draw(st.lists(digit, max_size=draw(st.sampled_from([8, 40, 600]))))
+
+
+@given(digit_runs())
+@example((2, [1, -1] * 300))
+@example((64, [-(2 ** 63 - 1)] * 500))
+@example((3005, [2 ** 3004 - 1, -(2 ** 3004 - 1)] * 200))
+@settings(deadline=None)
+def test_balanced_digits_round_trip(run):
+    width, digits = run
+    x = sum(d << width * j for j, d in enumerate(digits))
+    assert resolution._digits(x, width, len(digits)) == digits
+    # as the dot asks: enough digits for x's size, no fewer than it holds
+    count = x.bit_length() // width + 1
+    assert {j: d for j, d in enumerate(resolution._digits(x, width, count)) if d} == \
+        {j: d for j, d in enumerate(digits) if d}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_powers_of_one_generator_match_the_search(sign):
+    # sigma_1^L packs its binomial coefficients into about L/2 digits; on
+    # three strands the third strand is idle
+    for n in (2, 3):
+        for length in range(21):
+            w = BraidWord.from_signed(n, [sign] * length)
+            for bp in range(1, n + 1):
+                assert {parts: poly.terms() for parts, poly in resolve(w, bp).entries().items()} \
+                    == {parts: {divmod(k, resolution._B_SPAN): c for k, c in terms.items() if c}
+                        for parts, terms in walk(w, bp).items()}
 
 
 def inversions(perm: tuple[int, ...]) -> int:
@@ -315,12 +422,13 @@ def inversions(perm: tuple[int, ...]) -> int:
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_group_walks_every_permutation_once(n):
-    words, swaps, rises = resolution._group(n)
+    words, swaps, rises, odd = resolution._group(n)
     perms = [permutation(BraidWord.from_signed(n, word)) for word in words]
     assert len(set(perms)) == len(perms) == math.factorial(n)
-    for word, perm in zip(words, perms):
+    for word, perm, parity in zip(words, perms, odd):
         # the word is positive and reduced
         assert all(i > 0 for i in word) and inversions(perm) == len(word)
+        assert parity == len(word) % 2
     assert len(swaps) == len(rises) == n - 1
     for i, (swap, rise) in enumerate(zip(swaps, rises), 1):
         assert len(swap) == len(rise) == len(words)
@@ -328,6 +436,40 @@ def test_group_walks_every_permutation_once(n):
             assert swap[partner] == w
             assert perms[partner] == permutation(BraidWord.from_signed(n, [*words[w], i]))
             assert up == (len(words[w]) < len(words[partner]))
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_class_tables_hold_each_basis_resolution(n):
+    # exhaustively: at every basepoint the class of each w, read through the
+    # dot, gives the search on its reduced word, T_w at writhe l(w) and B*T_w
+    # at writhe l(w) + 1 (the two parities); then all of them at once, where
+    # the w of a class are summed before its terms apply
+    words = resolution._group(n)[0]
+    for bp in range(1, n + 1):
+        whole, want = {}, {}
+        for w, word in enumerate(words):
+            searched = {parts: {divmod(k, resolution._B_SPAN): c for k, c in terms.items() if c}
+                        for parts, terms in walk(BraidWord.from_signed(n, word), bp).items()}
+            for extra in (0, 1):  # B^extra * T_w
+                got = resolution._dot({w: 1}, 64, len(word) + extra, n, bp).entries()
+                assert {parts: poly.terms() for parts, poly in got.items()} == {
+                    parts: {(a, b + extra): c for (a, b), c in terms.items()}
+                    for parts, terms in searched.items()}
+            # (w + 1) * A^-((l + p) / 2) * B^p * T_w at writhe 0, p = l mod 2
+            p = len(word) % 2
+            whole[w] = w + 1
+            for parts, terms in searched.items():
+                into = want.setdefault(parts, {})
+                for (a, b), c in terms.items():
+                    key = (a - (len(word) + p) // 2, b + p)
+                    into[key] = into.get(key, 0) + (w + 1) * c
+        got = resolution._dot(whole, 64, 0, n, bp).entries()
+        assert {parts: poly.terms() for parts, poly in got.items()} == {
+            parts: nonzero for parts, terms in want.items()
+            if (nonzero := {k: c for k, c in terms.items() if c})}
+        table = resolution._TABLES[n, bp]
+        assert sorted(table.classes) == list(range(len(words)))
+        assert len(table.terms) <= len(words)
 
 
 def test_search_stops_at_its_leaf_budget(monkeypatch):
@@ -364,15 +506,55 @@ def test_compare_basepoints_stops_at_the_strand_budget(monkeypatch):
 
 
 def test_hecke_product_stops_at_its_budget(monkeypatch):
-    # the cost is taken on the cancelled word: 4 letters on 3 strands, 4**2 * 3!
+    # the charge is taken on the cancelled word, 1 2 1 2 on 3 strands: per
+    # letter, the entries times the digits so far ((k >> 1) + 1 before letter
+    # k), times the width of a digit, 4 + 3 + 2 bits; the entries go 1, 1, 1,
+    # 1 and the last letter, on the longest permutation, makes 2
     w = parse_word("3: 1 2 1 -1 1 2 2 -2")
     assert len(w.free_reduce().letters) == 4
-    monkeypatch.setattr(resolution, "_HECKE_BUDGET", 96)
+    charge = (1 * 1 + 1 * 1 + 1 * 2 + 1 * 2) * 9
+    monkeypatch.setattr(resolution, "_HECKE_BUDGET", charge)
     assert resolve(w) == tree_vector(resolution_tree(w))
-    monkeypatch.setattr(resolution, "_HECKE_BUDGET", 95)
+    monkeypatch.setattr(resolution, "_HECKE_BUDGET", charge - 1)
     for call in (resolve, compare_basepoints):
-        with pytest.raises(BudgetError, match="cost 96, past the Hecke product's budget of 95"):
+        with pytest.raises(BudgetError, match=f"^4 letters on 3 strands pass the Hecke product's "
+                                              f"budget of {charge - 1} \\(entries times packed bits\\)$"):
             call(w)
+
+
+def test_hecke_budget_charges_the_work_done(monkeypatch):
+    # 505 letters on six strands that reach two entries resolve at once, where
+    # a budget on letters squared times n! stopped them
+    six, two = resolve(parse_word("6:" + " 1" * 505)), resolve(parse_word("2:" + " 1" * 505))
+    assert six.entries() == {parts + (1,) * 4: poly for parts, poly in two.entries().items()}
+    # sigma_1^L on two strands holds one entry before each of its first two
+    # letters and two after, each of (k >> 1) + 1 digits before letter k; a
+    # digit has 2**L's bits plus 2, or past _SHARP_LETTERS letters those of
+    # the 1-norm bound, here the Fibonacci number F(L + 1), plus 2.  9,000
+    # letters pass the budget (CI runs that word), 6,600 do not, and the
+    # running charge stops a product as soon as it passes
+    def charge(length: int, letters: int) -> int:
+        fib = [0, 1]
+        while len(fib) < length + 2:
+            fib.append(fib[-1] + fib[-2])
+        bound = fib[length + 1] if length > resolution._SHARP_LETTERS else 1 << length
+        digits = sum((1 + (k >= 2)) * ((k >> 1) + 1) for k in range(letters))
+        return digits * (bound.bit_length() + 2)
+
+    assert charge(9000, 9000) > resolution._HECKE_BUDGET >= charge(6600, 6600) == 99_869_765_232
+    monkeypatch.setattr(resolution, "_HECKE_BUDGET", charge(9000, 100))
+    with pytest.raises(BudgetError, match="^9,000 letters on 2 strands pass"):
+        resolve(parse_word("2:" + " 1" * 9000))
+
+
+def test_the_norm_pass_stops_at_the_least_charge():
+    # a long word's first pass stops once the charge the product would make
+    # with a single entry passes the budget, before it reads the whole word:
+    # sigma_1^L on two strands passes it at its 9,524th letter
+    assert resolution._norm_bound(2, [1] * 9523, [1] * 9523) > 0
+    for length in (9524, 1_000_000):
+        with pytest.raises(BudgetError, match=f"^{length:,} letters on 2 strands pass"):
+            resolution._norm_bound(2, [1] * length, [1] * length)
 
 
 # -- cancelling inverse pairs ------------------------------------------------------
