@@ -49,11 +49,13 @@ _BRIDGE_PARTS = 5_000
 def to_homfly(vector: SkeinVector) -> HomflyPoly:
     """Evaluate a resolution vector as a polynomial in l and m.
 
-    Substituted entries are summed per component count k first, and each
-    sum P_k is multiplied by DELTA^(k-1), whose terms come from the
-    binomial theorem, into one term map, so the bridge costs
-    sum_k |P_k| * k term products and builds one polynomial.  An entry of
-    more than :data:`_BRIDGE_PARTS` parts raises :class:`BudgetError`.
+    Substituted entries are summed per component count k into P_k.  The k
+    coefficients of DELTA^(k-1) over DELTA's terms x, y, its row, are built
+    once per k, each from the next by their ratio, and lie on one line of
+    step x/y; each term of P_k adds its multiple of the row along that
+    line.  So the bridge costs k big-int steps per row and sum_k |P_k| * k
+    term products, and builds one polynomial.  An entry of more than
+    :data:`_BRIDGE_PARTS` parts raises :class:`BudgetError`.
     """
     by_count: dict[int, dict[tuple[int, int], int]] = {}
     for parts, poly in vector._entries.items():
@@ -65,19 +67,23 @@ def to_homfly(vector: SkeinVector) -> HomflyPoly:
             # c*A^a*B^b becomes c*(-1)^(a+b) * l^(-2a-b) * m^b
             key = (-2 * a - b, b)
             subbed[key] = subbed.get(key, 0) + (-c if (a + b) % 2 else c)
-    # DELTA^(k-1) = sum_j C(k-1, j) * x^j * y^(k-1-j) over DELTA's terms x, y
     ((xl, xm), cx), *rest = DELTA._terms.items()
     (((yl, ym), cy),) = rest or [((0, 0), 0)]  # a monomial DELTA has y = 0
+    sl, sm = xl - yl, xm - ym  # the step from y^(e-j)*x^j to y^(e-j-1)*x^(j+1)
     out: dict[tuple[int, int], int] = {}
+    get = out.get
     for k, subbed in by_count.items():
-        for j, binomial in enumerate(_binomials(k - 1)):
-            d = binomial * cx**j * cy**(k - 1 - j)
-            if not d:
-                continue
-            dl, dm = j * xl + (k - 1 - j) * yl, j * xm + (k - 1 - j) * ym
-            for (le, me), c in subbed.items():
-                key = (le + dl, me + dm)
-                out[key] = out.get(key, 0) + c * d
+        e = k - 1
+        row = [cx**e]  # C(e, j) * cx^j * cy^(e-j), each from the next by their ratio
+        for j in range(e, 0, -1):
+            row.append(row[-1] * (cy * j) // ((e - j + 1) * cx))
+        row.reverse()
+        for (le, me), c in subbed.items():  # c * row, along the line from y^e
+            le, me = le + e * yl, me + e * ym
+            for d in row:
+                key = (le, me)
+                out[key] = get(key, 0) + c * d
+                le, me = le + sl, me + sm
     return HomflyPoly._of({key: c for key, c in out.items() if c})
 
 

@@ -196,6 +196,8 @@ class SkeinVector:
     __slots__ = ("strand_count", "_entries")
 
     def __init__(self, strand_count: int, entries: Mapping[tuple[int, ...], LaurentAB] = ()):
+        if type(strand_count) is not int or strand_count < 1:
+            raise DimensionError(f"strand count {strand_count!r} is not an int >= 1")
         entries = dict(entries)
         for parts in sorted(entries, reverse=True):
             if type(entries[parts]) is not LaurentAB:

@@ -139,8 +139,8 @@ def test_bridge_stops_at_its_parts_budget(monkeypatch):
         to_homfly(vector)
 
 
-def horner_bridge(vector: SkeinVector) -> HomflyPoly:
-    """The bridge by Horner's rule: one product by DELTA per component count."""
+def horner_bridge(vector: SkeinVector, delta: HomflyPoly = DELTA) -> HomflyPoly:
+    """The bridge by Horner's rule: one product by delta per component count."""
     by_count: dict[int, dict[tuple[int, int], int]] = {}
     for parts, poly in vector.entries().items():
         subbed = by_count.setdefault(len(parts), {})
@@ -150,7 +150,7 @@ def horner_bridge(vector: SkeinVector) -> HomflyPoly:
             subbed[key] = subbed.get(key, 0) + sign * c
     total = HomflyPoly.zero()
     for k in range(max(by_count, default=0), 0, -1):
-        total = total * DELTA
+        total = total * delta
         if k in by_count:
             total = total + HomflyPoly(by_count[k])
     return total
@@ -175,11 +175,42 @@ wide_vectors = st.tuples(st.lists(st.integers(1, 3), min_size=1, max_size=60), p
     lambda t: SkeinVector(sum(t[0]), {tuple(sorted(t[0], reverse=True)): t[1]}))
 
 
+@st.composite
+def split_union_vectors(draw, max_parts=400):
+    """2-5 entries whose part counts lie within 3 of each other, as in the
+    vector of a split union on many strands: long rows, few terms each."""
+    low = draw(st.integers(2, max_parts - 3))
+    n = low + 9
+    shapes = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                           min_size=2, max_size=5, unique=True))
+    entries = {}
+    for dk, extra in shapes:  # k parts of n, two sharing the n - k >= 6 units past one
+        k = low + dk
+        entries[(n - k + 1 - extra, 1 + extra, *[1] * (k - 2))] = draw(polys.filter(bool))
+    return SkeinVector(n, entries)
+
+
 # the images of (3) and (2,1) cancel: (A - 1) + B*DELTA = 0
 @example(SkeinVector(3, {(3,): A - LaurentAB.one(), (2, 1): B}))
-@given(st.one_of(skein_vectors, cancelling_vectors, wide_vectors))
+@given(st.one_of(skein_vectors, cancelling_vectors, wide_vectors, split_union_vectors()))
+@settings(deadline=None)
 def test_bridge_matches_horner_rule(vector):
     assert to_homfly(vector) == horner_bridge(vector)
+
+
+# the negative control's one-term value, two terms with another step and
+# unequal coefficients, and two equal coefficients other than -1
+OTHER_DELTAS = [HomflyPoly({(1, -1): -1}), HomflyPoly({(2, -1): 2, (-1, 0): -1}),
+                HomflyPoly({(0, 1): 2, (3, -1): 2})]
+
+
+@given(st.one_of(skein_vectors, cancelling_vectors, wide_vectors, split_union_vectors(60)),
+       st.sampled_from(OTHER_DELTAS))
+@settings(deadline=None)
+def test_bridge_reads_delta_at_call_time(vector, delta):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(homfly, "DELTA", delta)
+        assert to_homfly(vector) == horner_bridge(vector, delta)
 
 
 # -- oracle -------------------------------------------------------------------------
@@ -235,6 +266,45 @@ split_words = st.integers(4, 40).flatmap(lambda n: st.lists(
 @settings(deadline=None)
 def test_bridge_agrees_with_oracle(w):
     assert to_homfly(resolve(w)) == homfly_oracle(w)
+
+
+@st.composite
+def wide_split_unions(draw):
+    """2-3 blocks of 2-3 strands on disjoint strand ranges of 100-400
+    strands, most of them idle, with the block words on their own strands."""
+    n = draw(st.integers(100, 400))
+    blocks = draw(st.lists(words(max_strands=3, max_len=6), min_size=2, max_size=3))
+    # each block starts past the last strand of the one before
+    starts = sorted(draw(st.lists(st.integers(0, n - 10), min_size=len(blocks),
+                                  max_size=len(blocks), unique=True)))
+    offsets = [start + 3 * b for b, start in enumerate(starts)]
+    return _place(n, list(zip(blocks, offsets))), blocks
+
+
+def _delta_power(e: int) -> tuple[HomflyPoly, JonesPoly]:
+    """DELTA^e = (-1)^e m^-e (l + l^-1)^e and its Jones value (-q^-1 - q)^e."""
+    sign = (-1) ** e
+    return (HomflyPoly({(e - 2 * j, -e): sign * comb(e, j) for j in range(e + 1)}),
+            JonesPoly({e - 2 * j: sign * comb(e, j) for j in range(e + 1)}))
+
+
+@example((parse_word("102: 1 -2 1 2 60 61 -60"),
+          [parse_word("3: 1 -2 1 2"), parse_word("3: 1 2 -1")]))
+@given(wide_split_unions())
+@settings(deadline=None, max_examples=30)
+def test_wide_split_unions_multiply_out(union):
+    # the closure is the split union of the block closures and one unknot
+    # per idle strand, r pieces in all, so P = prod P_b * DELTA^(r-1) and
+    # likewise for Jones, with jones(DELTA) = -t^(-1/2) - t^(1/2)
+    w, blocks = union
+    r = len(blocks) + w.strand_count - sum(b.strand_count for b in blocks)
+    homfly_want, jones_want = _delta_power(r - 1)
+    for block in blocks:
+        image = homfly_oracle(block)
+        homfly_want, jones_want = homfly_want * image, jones_want * jones(image)
+    image = to_homfly(resolve(w))
+    assert image == homfly_want
+    assert jones(image) == jones_want
 
 
 @given(words(max_strands=4, max_len=7), st.sampled_from([1, -1]))

@@ -121,6 +121,19 @@ def test_vector_rejects_bad_partition():
             SkeinVector(3, [(parts, LaurentAB.zero())])  # a zero entry's key is checked too
 
 
+def test_vector_rejects_a_strand_count_below_one():
+    # the empty partition of 0 once passed, and the bridge turned it into
+    # DELTA^-1 with a float coefficient; a bool is not a strand count either
+    for n, entries in [(0, {(): LaurentAB.one()}), (0, {}), (-1, {}),
+                       (True, {(1,): LaurentAB.one()}), (2.0, {(2,): A})]:
+        message = "^" + re.escape(f"strand count {n!r} is not an int >= 1") + "$"
+        with pytest.raises(DimensionError, match=message):
+            SkeinVector(n, entries)
+    with pytest.raises(DimensionError):
+        SkeinVector.from_json_dict(0, {})
+    assert SkeinVector(1, {(1,): LaurentAB.one()}).strand_count == 1
+
+
 def test_vector_drops_zero_entries():
     v = SkeinVector(2, {(2,): A - A, (1, 1): B})
     assert list(v.entries()) == [(1, 1)]
