@@ -21,6 +21,7 @@ bound is one-sided; inputs that fail it stay "Unknown", never "not 3".
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 
 from .resolution import BudgetError, resolve
 from .skein import Laurent, SkeinVector
@@ -250,12 +251,12 @@ def jones(h: HomflyPoly) -> JonesPoly:
     no link's polynomial has, raises ValueError.
     """
     out: dict[int, int] = {}
-    groups: dict[int, dict[int, int]] = {}
+    groups: dict[int, dict[int, int]] = defaultdict(dict)
     for (le, me), x in h._terms.items():
         if (le + me) % 2:
             raise ValueError("l and m exponents must have even sum")
         if me < 0:
-            groups.setdefault(-me, {})[le] = x
+            groups[-me][le] = x
             continue
         # x*l^le*m^me maps to x*(-1)^((le+me)/2) * q^(-2*le) * (q^-1 - q)^me
         signed = -x if ((le + me) // 2) % 2 else x

@@ -196,7 +196,8 @@ def _walk(n: int, indices: list[int], signs: list[int],
     length = len(indices)
     end = 2 * length
     first, after = _links(indices, n)
-    cross = [after[link ^ 1] for link in range(end)]  # past row link >> 1, crossing it
+    cross = after[:]  # past row link >> 1, crossing it: after[link ^ 1]
+    cross[::2], cross[1::2] = after[1::2], after[::2]
     # idle strands close at once; the walk visits the touched ones, by rank
     touched = [p for p in range(1, n + 1) if first[p] < end]
     idle = (1,) * (n - len(touched))
@@ -633,17 +634,26 @@ def resolution_tree(word: BraidWord, basepoint: int = 1) -> ResolutionNode:
 
 
 def tree_vector(node: ResolutionNode) -> SkeinVector:
-    """Sum the tree's leaves with their path coefficients."""
-    totals: dict[tuple[int, ...], LaurentAB] = {}
-    stack = [(node, LaurentAB.one())]
+    """Sum the tree's leaves with their path coefficients, as term maps until the end."""
+    totals: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
+    stack = [(node, {(0, 0): 1})]
     while stack:
         current, coeff = stack.pop()
-        if current.is_leaf():
-            parts = current.leaf_partition()
-            totals[parts] = totals[parts] + coeff if parts in totals else coeff
+        if current.children:
+            for child in current.children:
+                product = {}
+                for (a1, b1), c1 in child.edge._terms.items():
+                    for (a2, b2), c2 in coeff.items():
+                        key = (a1 + a2, b1 + b2)
+                        product[key] = product.get(key, 0) + c1 * c2
+                stack.append((child, product))
         else:
-            stack.extend((child, child.edge * coeff) for child in current.children)
-    return SkeinVector._of(node.word.strand_count, totals)
+            into = totals.setdefault(current.leaf_partition(), {})
+            for key, c in coeff.items():
+                into[key] = into.get(key, 0) + c
+    return SkeinVector._of(node.word.strand_count, {
+        parts: LaurentAB._of({key: c for key, c in terms.items() if c})
+        for parts, terms in totals.items()})
 
 
 def leaf_count(node: ResolutionNode) -> int:

@@ -18,10 +18,11 @@ below keeps the ids of the crossings it keeps (sign changes, reordering,
 deletion of other letters), and no move inserts letters, so an id names
 the same crossing in every word derived from the original.
 
-Checks run once, at the public boundary: :func:`parse_word` checks each token,
-:meth:`BraidWord.from_signed` the strand count and each signed index, and the
-constructor (hence copy and pickle) the strand count and each letter; the words
-built inside the package skip them.
+Checks run once, at the public boundary: :func:`parse_word` checks the letter
+text as a whole and each value's range, and goes token by token only on a text
+that fails, to name the first faulty token; :meth:`BraidWord.from_signed` the
+strand count and each signed index, and the constructor (hence copy and pickle)
+the strand count and each letter; the words built inside the package skip them.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ class BraidWord(_Word):
         :func:`_cancel_pairs`); the kept letters keep their ids."""
         letters = self.letters
         kept = _cancel_pairs([l.index for l in letters], [l.sign for l in letters])
-        return self._replace(letters=tuple([letters[k] for k in kept]))
+        return self._make((self.strand_count, tuple([letters[k] for k in kept])))
 
     def apply_braid_relation_at(self, position: int) -> BraidWord:
         """Rewrite by the braid relation whose pattern starts at ``position``.
@@ -136,8 +137,7 @@ class BraidWord(_Word):
         if position + 1 < len(ls):
             x, y = ls[position], ls[position + 1]
             if abs(x.index - y.index) > 1:
-                swapped = ls[:position] + (y, x) + ls[position + 2:]
-                return self._replace(letters=swapped)
+                return self._make((self.strand_count, ls[:position] + (y, x) + ls[position + 2:]))
         if position + 2 < len(ls):
             x, y, z = ls[position:position + 3]
             same_sign = x.sign == y.sign == z.sign
@@ -147,7 +147,7 @@ class BraidWord(_Word):
                     Letter(x.index, y.sign, y.crossing_id),
                     Letter(y.index, z.sign, z.crossing_id),
                 )
-                return self._replace(letters=ls[:position] + new + ls[position + 3:])
+                return self._make((self.strand_count, ls[:position] + new + ls[position + 3:]))
         raise MoveError(f"no braid relation applies at position {position}")
 
     def cyclic_rotate(self, k: int) -> BraidWord:
@@ -155,28 +155,23 @@ class BraidWord(_Word):
         if not self.letters:
             return self
         k %= len(self.letters)
-        return self._replace(letters=self.letters[k:] + self.letters[:k])
+        return self._make((self.strand_count, self.letters[k:] + self.letters[:k]))
 
     def change_crossing(self, crossing_id: int) -> BraidWord:
         """Flip the sign of one crossing, keeping its id."""
-        out = []
-        found = False
-        for letter in self.letters:
-            if letter.crossing_id == crossing_id:
-                out.append(Letter(letter.index, -letter.sign, letter.crossing_id))
-                found = True
-            else:
-                out.append(letter)
-        if not found:
-            raise MoveError(f"no crossing with id {crossing_id}")
-        return self._replace(letters=tuple(out))
+        ls = self.letters
+        for k, (index, sign, id_) in enumerate(ls):
+            if id_ == crossing_id:  # ids are unique
+                flipped = tuple.__new__(Letter, (index, -sign, id_))
+                return self._make((self.strand_count, ls[:k] + (flipped,) + ls[k + 1:]))
+        raise MoveError(f"no crossing with id {crossing_id}")
 
     def delete_crossing(self, crossing_id: int) -> BraidWord:
         """Remove one crossing (the oriented smoothing of the skein relation)."""
         out = tuple([l for l in self.letters if l.crossing_id != crossing_id])
         if len(out) == len(self.letters):
             raise MoveError(f"no crossing with id {crossing_id}")
-        return self._replace(letters=out)
+        return self._make((self.strand_count, out))
 
 
 def _cancel_pairs(indices: list[int], signs: list[int]) -> Sequence[int]:
@@ -232,15 +227,24 @@ def parse_word(text: str) -> BraidWord:
     ``n`` is the strand count; each ``ij`` is a nonzero ASCII integer with
     ``|ij| <= n-1``, positive for sigma_{ij} and negative for its inverse.
     Crossing ids number the letters from 0.  Inverse of
-    :meth:`BraidWord.format`.
+    :meth:`BraidWord.format`.  A body that fails the one-pass conversion
+    goes token by token, so the first bad or out-of-range token is named.
     """
     head, sep, body = text.partition(":")
     if not sep:
         raise WordError(f"expected 'n: letters', got {text!r}")
     n = _parse_int(head.strip(), "strand count")
     tokens = body.split()
-    return _word(n, (_parse_int(token, "letter") for token in tokens),
-                 lambda k: f"letter {tokens[k]!r} out of range for {n} strands")
+    signed = None  # a body no longer than _MAX_DIGITS holds no longer token
+    if body.isascii() and "_" not in body and (
+            len(body) <= _MAX_DIGITS or max(map(len, tokens), default=0) <= _MAX_DIGITS):
+        try:
+            signed = list(map(int, tokens))
+        except ValueError:
+            pass
+    if signed is None:  # name the first faulty token
+        signed = (_parse_int(token, "letter") for token in tokens)
+    return _word(n, signed, lambda k: f"letter {tokens[k]!r} out of range for {n} strands")
 
 
 def _check_strand_count(n: int):

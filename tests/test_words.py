@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import pickle
+import sys
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from braidskein.words import (
     BraidWord,
@@ -108,6 +109,102 @@ def test_parse_errors_name_the_first_faulty_token(text, message):
     with pytest.raises(WordError) as raised:
         parse_word(text)
     assert str(raised.value) == message
+
+
+def reference_parse(text):
+    """The token-by-token rule: each token an ASCII decimal int with no
+    underscore and at most 4,300 digits after its signs, converted and
+    range-checked in token order."""
+    def number(token, what):
+        if token.isascii() and "_" not in token and len(token.lstrip("+-")) <= 4300:
+            try:
+                return int(token)
+            except ValueError:
+                pass
+        raise WordError(f"bad {what} token {token!r}")
+
+    head, sep, body = text.partition(":")
+    if not sep:
+        raise WordError(f"expected 'n: letters', got {text!r}")
+    n = number(head.strip(), "strand count")
+    if n < 1:
+        raise WordError(f"strand count must be >= 1, got {n}")
+    signed = []
+    for token in body.split():
+        s = number(token, "letter")
+        if not 0 < abs(s) < n:
+            raise WordError(f"letter {token!r} out of range for {n} strands")
+        signed.append(s)
+    return BraidWord.from_signed(n, signed)
+
+
+def parse_outcome(parse, text):
+    """The parsed word, or the WordError's message."""
+    try:
+        return parse(text)
+    except WordError as error:
+        return str(error)
+
+
+def int_tokens(min_value, max_value, signs=("", "", "+", "-")):
+    """Signed ASCII ints, with leading zeros and a leading '+'."""
+    return st.builds(lambda sign, zeros, value: f"{sign}{'0' * zeros}{value}",
+                     st.sampled_from(signs), st.integers(0, 2),
+                     st.integers(min_value, max_value))
+
+
+BAD_TOKENS = st.sampled_from(["1_0", "_1", "\u0662", "1\u0663", "\uff11", "1e5", "+-1",
+                              "--1", "+", "-", "x"])
+LONG_TOKENS = st.builds(lambda sign, digit, count: sign + digit * count,
+                        st.sampled_from(["", "+", "-"]), st.sampled_from("019"),
+                        st.sampled_from([4300, 4301]))
+SPACES = st.sampled_from([" ", "  ", "\t", "\n", "\u3000"])
+
+
+@st.composite
+def word_texts(draw):
+    """Texts that parse, mixed with every kind of faulty head, separator and
+    letter token: 0, out of range, not ASCII digits, and too long."""
+    strand_counts = int_tokens(2, 9, signs=("", "+"))
+    head = draw(st.one_of(strand_counts, strand_counts, strand_counts, int_tokens(0, 9),
+                          BAD_TOKENS, LONG_TOKENS))
+    sep = draw(st.sampled_from([":", ":", ":", ": ", " : ", ""]))
+    letters = int_tokens(1, 4)
+    tokens = draw(st.lists(st.one_of(letters, letters, letters, letters, letters,
+                                     int_tokens(0, 12), BAD_TOKENS, LONG_TOKENS), max_size=8))
+    gaps = draw(st.lists(SPACES, min_size=len(tokens), max_size=len(tokens)))
+    return head + sep + "".join(gap + token for gap, token in zip(gaps, tokens))
+
+
+@settings(max_examples=300)
+@given(word_texts())
+@example("3: 5 \u0662")
+@example("3: 5 x")
+@example("3: 1 -2 " + "1" * 4300)
+@example("3: 1 -2 +" + "0" * 4300)
+@example("3: 1 " + "1" * 4301 + " 9")
+@example("3:" + " " * 5000)
+def test_parse_matches_the_token_by_token_rule(text):
+    assert parse_outcome(parse_word, text) == parse_outcome(reference_parse, text)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this interpreter has no int digit limit")
+def test_parse_applies_the_lower_digit_limit():
+    # parse_word's own limit is 4,300 digits: a lower int digit limit of the
+    # interpreter's rejects shorter tokens too, and with none (0) parse_word
+    # still rejects longer ones
+    limit = sys.get_int_max_str_digits()
+    try:
+        for interpreter_limit, digits in ((640, 1000), (0, 4301)):
+            sys.set_int_max_str_digits(interpreter_limit)
+            text = "3: 1 " + "1" * digits
+            assert parse_outcome(parse_word, text) == parse_outcome(reference_parse, text) == (
+                f"bad letter token '{'1' * digits}'")
+    finally:
+        sys.set_int_max_str_digits(limit)
+    text = "3: 1 " + "1" * 1000
+    assert parse_outcome(parse_word, text) == f"letter '{'1' * 1000}' out of range for 3 strands"
 
 
 @pytest.mark.parametrize("build, message", [
