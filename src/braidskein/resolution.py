@@ -14,18 +14,18 @@ descending; each leaf closes to the unlink pattern named by its cycle type.
 The walk is stated twice, and both statements follow successor links
 (:func:`_links`), so a pass costs the rows it crosses, not the whole word.
 :func:`_walk` runs it as a depth-first search that continues in place past
-each branch point, carrying each path's monomial as one key; strands that
-no crossing touches close at once as parts of size 1.  Each leaf adds its
-sign to a bucket keyed by the sizes of the components it closed, in walk
-order, and each distinct order is sorted into its partition once, after the
-search, where the buckets of one partition merge.  The generator
-:func:`_first_unders` runs it plainly, yielding each bad crossing as the
-walk reaches it; :func:`label_only` reads all of it, and
+each branch point, carrying each path's monomial c*A^a*B^b as c, a and b;
+strands that no crossing touches close at once as parts of size 1.  Each
+leaf adds c at (a, b) in a bucket keyed by the sizes of the components it
+closed, in walk order; each distinct order is sorted into its partition
+once, after the search, where the buckets of one partition merge.  The
+generator :func:`_first_unders` runs it plainly, yielding each bad crossing
+as the walk reaches it; :func:`label_only` reads all of it, and
 :func:`resolution_tree` runs it from scratch on each node up to the node's
-first bad crossing, retracing the parent's path to the branch crossing:
-the tree is the reference that :func:`resolve` is tested against.  Both
-stop at a budget: the search at :data:`_LEAF_BUDGET` leaves, and the tree,
-which keeps every node's word, at :data:`_TREE_LETTER_BUDGET` letters.
+first bad crossing, retracing the parent's path to the branch crossing: the
+tree is the reference that :func:`resolve` is tested against.  Both stop at
+a budget: the search at :data:`_LEAF_BUDGET` leaves, and the tree, which
+keeps every node's word, at :data:`_TREE_LETTER_BUDGET` letters.
 
 The search costs a leaf per descending diagram, exponentially many in the
 word length.  Flip and delete are the relation sigma_i = A*sigma_i^-1 + B,
@@ -150,18 +150,11 @@ def label_only(word: BraidWord, basepoint: int = 1) -> dict[int, Label]:
 
 
 # -- depth-first walk ---------------------------------------------------------
-#
-# The search keys a coefficient c*A^a*B^b of Z[A^+-1, B] as a * _B_SPAN + b
-# (the Hecke product packs B's exponents into the digits of one int instead).
-# B's exponent stays below the word length plus ten, far below _B_SPAN, so
-# each key names one monomial, multiplying by a monomial adds a constant to
-# every key, and divmod(key, _B_SPAN) gives back (a, b).
 
-_B_SPAN = 1 << 40
 _UNSEEN, _GOOD, _GONE = 0, 1, 2
 # leaves that one search may pop: 5,000 random seven-strand words of 18-21
 # letters, cancelled as resolve cancels them, reached at most 20,912 (median
-# 222) from basepoint 1; at 3.5-5.5 us a leaf this takes 4-7 s
+# 222) from basepoint 1; at 2.2-3.0 us a leaf (2 cores) this takes 3-4 s
 _LEAF_BUDGET = 1_200_000
 # letters that the node words of one tree may hold between them: the tree
 # of 2: -1 x21 (28,657 leaves) holds 689,587, that of x22 1,167,051
@@ -177,21 +170,23 @@ class BudgetError(ValueError):
     """A resolution would take more work than its budget allows."""
 
 
-def _laurent(terms: dict[int, int]) -> LaurentAB:
-    return LaurentAB._of({divmod(k, _B_SPAN): c for k, c in terms.items() if c})
+def _vector(n: int, totals: dict[tuple[int, ...], dict[tuple[int, int], int]]) -> SkeinVector:
+    """The vector of {partition: {(a, b): coeff}}, dropping zero coefficients."""
+    return SkeinVector._of(n, {parts: LaurentAB._of({k: c for k, c in terms.items() if c})
+                               for parts, terms in totals.items()})
 
 
 def _walk(n: int, indices: list[int], signs: list[int],
-          basepoint: int) -> dict[tuple[int, ...], dict[int, int]]:
+          basepoint: int) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
     """The resolution of the n-strand word with these letter indices and
-    signs as {partition: {monomial key: coeff}}, by a depth-first search
-    that continues in place past each branch point.
+    signs as {partition: {(a, b): coeff}}, the coefficient of A^a*B^b, by a
+    depth-first search that continues in place past each branch point.
 
-    Each leaf adds its path sign to a bucket keyed by the linked list of
-    the sizes it closed, in walk order; once the search ends, each distinct
-    list becomes its partition (parts sorted, idle strands appended) and
-    buckets that name the same partition merge.  Past :data:`_LEAF_BUDGET`
-    leaves it raises :class:`BudgetError`."""
+    Each leaf adds its path's sign c at (a, b) in a bucket keyed by the
+    linked list of the sizes it closed, in walk order; once the search ends,
+    each distinct list becomes its partition (parts sorted, idle strands
+    appended) and buckets that name the same partition merge.  Past
+    :data:`_LEAF_BUDGET` leaves it raises :class:`BudgetError`."""
     positive = [sign > 0 for sign in signs]
     length = len(indices)
     end = 2 * length
@@ -202,25 +197,25 @@ def _walk(n: int, indices: list[int], signs: list[int],
     touched = [p for p in range(1, n + 1) if first[p] < end]
     idle = (1,) * (n - len(touched))
     if not touched:
-        return {idle: {0: 1}}
+        return {idle: {(0, 0): 1}}
     rank = {p: r for r, p in enumerate(touched)}
     full_mask = (1 << len(touched)) - 1
     if basepoint not in rank:
         basepoint = touched[0]
 
-    buckets: dict[tuple, dict[int, int]] = {}
+    buckets: dict[tuple, dict[tuple[int, int], int]] = {}
 
     # node: link, component start, walked-top rank bitmask, size of the open
-    # component, closed sizes as a linked list, path sign, monomial key,
-    # crossing states
-    stack = [(first[basepoint], basepoint, 1 << rank[basepoint], 1, (), 1, 0,
+    # component, closed sizes as a linked list, and the path's monomial
+    # c*A^a*B^b as its sign c and exponents a, b; then the crossing states
+    stack = [(first[basepoint], basepoint, 1 << rank[basepoint], 1, (), 1, 0, 0,
               bytearray(length))]
     leaves = 0
     while stack:
         leaves += 1
         if leaves > _LEAF_BUDGET:
             raise BudgetError(f"resolution exceeds its budget of {_LEAF_BUDGET:,} leaves")
-        link, start, done, size, sizes, csign, key, state = stack.pop()
+        link, start, done, size, sizes, csign, a, b, state = stack.pop()
         while True:
             while link < end:
                 row = link >> 1
@@ -235,12 +230,10 @@ def _walk(n: int, indices: list[int], signs: list[int],
                         child = bytearray(state)
                         child[row] = _GONE
                         if positive[row]:
-                            delete = (csign, key + 1)
-                            key += _B_SPAN
+                            dc, da, a = csign, a, a + 1  # delete: B; flip: A
                         else:
-                            delete = (-csign, key + 1 - _B_SPAN)
-                            key -= _B_SPAN
-                        stack.append((after[link], start, done, size, sizes, *delete, child))
+                            dc, da, a = -csign, a - 1, a - 1  # delete: -A^-1*B; flip: A^-1
+                        stack.append((after[link], start, done, size, sizes, dc, da, b + 1, child))
                     state[row] = _GOOD
                     link = cross[link]
             pos = link - end
@@ -258,11 +251,11 @@ def _walk(n: int, indices: list[int], signs: list[int],
             link = first[start]
         bucket = buckets.get(sizes)
         if bucket is None:
-            buckets[sizes] = {key: csign}
+            buckets[sizes] = {(a, b): csign}
         else:
-            bucket[key] = bucket.get(key, 0) + csign
+            bucket[a, b] = bucket.get((a, b), 0) + csign
 
-    totals: dict[tuple[int, ...], dict[int, int]] = {}
+    totals: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
     for sizes, bucket in buckets.items():
         flat = []
         while sizes:
@@ -422,9 +415,8 @@ def _class(table: _Table, n: int, basepoint: int, w: int) -> int:
     half, odd = len(word) >> 1, len(word) & 1
     terms = []
     for parts, keys in _walk(n, word, [1] * len(word), basepoint).items():
-        for k, c in keys.items():
+        for (a, b), c in keys.items():
             if c:
-                a, b = divmod(k, _B_SPAN)
                 line = (parts, 2 * (a - half) + b - odd)
                 slot = table.slots.setdefault(line, len(table.keys))
                 if slot == len(table.keys):
@@ -564,8 +556,7 @@ def _resolved(word: BraidWord, basepoints: Sequence[int]) -> list[SkeinVector]:
 
 def _search_vector(n: int, indices: list[int], signs: list[int], basepoint: int) -> SkeinVector:
     """The search's resolution as a vector."""
-    walked = _walk(n, indices, signs, basepoint)
-    return SkeinVector._of(n, {parts: _laurent(terms) for parts, terms in walked.items()})
+    return _vector(n, _walk(n, indices, signs, basepoint))
 
 
 # -- explicit tree ----------------------------------------------------------------
@@ -634,26 +625,22 @@ def resolution_tree(word: BraidWord, basepoint: int = 1) -> ResolutionNode:
 
 
 def tree_vector(node: ResolutionNode) -> SkeinVector:
-    """Sum the tree's leaves with their path coefficients, as term maps until the end."""
+    """Sum the tree's leaves with their path coefficients.
+
+    Each edge is one signed monomial (A, B, A^-1 or -A^-1*B), so a path's is
+    one too, c*A^a*B^b carried as (c, a, b); any other edge raises ValueError."""
     totals: dict[tuple[int, ...], dict[tuple[int, int], int]] = {}
-    stack = [(node, {(0, 0): 1})]
+    stack = [(node, 1, 0, 0)]
     while stack:
-        current, coeff = stack.pop()
+        current, c, a, b = stack.pop()
         if current.children:
             for child in current.children:
-                product = {}
-                for (a1, b1), c1 in child.edge._terms.items():
-                    for (a2, b2), c2 in coeff.items():
-                        key = (a1 + a2, b1 + b2)
-                        product[key] = product.get(key, 0) + c1 * c2
-                stack.append((child, product))
+                [((ea, eb), ec)] = child.edge._terms.items()  # ValueError unless one term
+                stack.append((child, c * ec, a + ea, b + eb))
         else:
             into = totals.setdefault(current.leaf_partition(), {})
-            for key, c in coeff.items():
-                into[key] = into.get(key, 0) + c
-    return SkeinVector._of(node.word.strand_count, {
-        parts: LaurentAB._of({key: c for key, c in terms.items() if c})
-        for parts, terms in totals.items()})
+            into[a, b] = into.get((a, b), 0) + c
+    return _vector(node.word.strand_count, totals)
 
 
 def leaf_count(node: ResolutionNode) -> int:

@@ -199,11 +199,12 @@ class SkeinVector:
         if type(strand_count) is not int or strand_count < 1:
             raise DimensionError(f"strand count {strand_count!r} is not an int >= 1")
         entries = dict(entries)
-        for parts in sorted(entries, reverse=True):
-            if type(entries[parts]) is not LaurentAB:
-                raise RingDomainError(f"coefficient {entries[parts]!r} of {parts} is not a LaurentAB")
-            # non-increasing, positive and summing to strand_count
-            if (sum(parts) != strand_count or sorted(parts, reverse=True) != [*parts]
+        for parts, poly in entries.items():
+            if type(poly) is not LaurentAB:
+                raise RingDomainError(f"coefficient {poly!r} of {parts} is not a LaurentAB")
+            # a tuple of ints, non-increasing, positive and summing to strand_count
+            if (type(parts) is not tuple or any(type(p) is not int for p in parts)
+                    or sum(parts) != strand_count or sorted(parts, reverse=True) != [*parts]
                     or (parts and parts[-1] < 1)):
                 raise DimensionError(
                     f"{parts} is not a partition of {strand_count}"

@@ -341,9 +341,9 @@ def basis_braid(parts: Sequence[int]) -> BraidWord:
     sigma_{o+k-1} ... sigma_{o+1} (top to bottom), so the block closes to a
     single unknotted component.  Blocks are laid out left to right in the
     order the parts are given; the closure's cycle type is the sorted parts.
-    Empty or non-positive parts raise ValueError.
+    Empty parts, or parts that are not positive ints, raise ValueError.
     """
-    if not parts or any(p < 1 for p in parts):
+    if not parts or any(type(p) is not int or p < 1 for p in parts):
         raise ValueError(f"{tuple(parts)} is not a partition")
     signed = []
     offset = 0

@@ -61,7 +61,7 @@ def lists(word: BraidWord) -> tuple[list[int], list[int]]:
     return [l.index for l in word.letters], [l.sign for l in word.letters]
 
 
-def walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[int, int]]:
+def walk(word: BraidWord, basepoint: int) -> dict[tuple[int, ...], dict[tuple[int, int], int]]:
     """The search on the word as given, with nothing cancelled."""
     return _walk(word.strand_count, *lists(word), basepoint)
 
@@ -237,8 +237,7 @@ def test_hecke_path_equals_the_search_exhaustively():
             for bp, vector in compare_basepoints(word).items():
                 got = {parts: poly.terms() for parts, poly in vector.entries().items()}
                 want = {parts: nonzero for parts, terms in walk(word, bp).items()
-                        if (nonzero := {divmod(k, resolution._B_SPAN): c
-                                        for k, c in terms.items() if c})}
+                        if (nonzero := {k: c for k, c in terms.items() if c})}
                 if got != want:
                     wrong.append((word.format(), bp))
                 cases += 1
@@ -412,7 +411,7 @@ def test_powers_of_one_generator_match_the_search(sign):
             w = BraidWord.from_signed(n, [sign] * length)
             for bp in range(1, n + 1):
                 assert {parts: poly.terms() for parts, poly in resolve(w, bp).entries().items()} \
-                    == {parts: {divmod(k, resolution._B_SPAN): c for k, c in terms.items() if c}
+                    == {parts: {k: c for k, c in terms.items() if c}
                         for parts, terms in walk(w, bp).items()}
 
 
@@ -448,7 +447,7 @@ def test_class_tables_hold_each_basis_resolution(n):
     for bp in range(1, n + 1):
         whole, want = {}, {}
         for w, word in enumerate(words):
-            searched = {parts: {divmod(k, resolution._B_SPAN): c for k, c in terms.items() if c}
+            searched = {parts: {k: c for k, c in terms.items() if c}
                         for parts, terms in walk(BraidWord.from_signed(n, word), bp).items()}
             for extra in (0, 1):  # B^extra * T_w
                 got = resolution._dot({w: 1}, 64, len(word) + extra, n, bp).entries()
@@ -681,6 +680,16 @@ def test_trefoil_tree_shape():
     assert inner_flip.leaf_partition() == (1, 1)
     assert inner_delete.leaf_partition() == (2,)
     assert tree_vector(root) == resolve(parse_word("2: 1 1 1"))
+
+
+def test_tree_vector_takes_one_monomial_per_edge():
+    # resolution_tree makes each edge one of A, B, A^-1 and -A^-1*B; an edge
+    # of two terms, or none, has to raise, not be summed as one term
+    root = resolution_tree(parse_word("2: 1 1 1"))
+    flip, delete = root.children
+    for edge in (A + B, LaurentAB.zero()):
+        with pytest.raises(ValueError):
+            tree_vector(root._replace(children=(flip._replace(edge=edge), delete)))
 
 
 def test_leaves_are_fully_labeled():

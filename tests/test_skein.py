@@ -112,8 +112,12 @@ def test_partition_str():
 def test_vector_rejects_bad_partition():
     with pytest.raises(DimensionError):
         SkeinVector(2, {(3,): A})
-    # unsorted, a zero part, a wrong sum either way, a negative part
-    for parts in [(1, 2), (3, 0), (2, 2), (1,), (2, 2, -1)]:
+    # unsorted, a zero part, a wrong sum either way, a negative part; and
+    # parts that are not ints: a float or bool part used to pass, print as
+    # (2.0,1) and write a JSON key that from_json_dict cannot read, and a str
+    # part or a bare int raised TypeError
+    for parts in [(1, 2), (3, 0), (2, 2), (1,), (2, 2, -1),
+                  (2.0, 1), (2, 1.0), (True, True, True), ("x",), 3]:
         message = "^" + re.escape(f"{parts} is not a partition of 3") + "$"
         with pytest.raises(DimensionError, match=message):
             SkeinVector(3, {(3,): A, parts: B})

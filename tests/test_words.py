@@ -375,6 +375,10 @@ def test_basis_braid_rejects_non_partition():
         basis_braid((3, 0))
     with pytest.raises(ValueError):
         basis_braid(())
+    # parts are ints: a float or bool part is not one, nor is a str
+    for parts in [(2, 1.0), (2.0,), (True, 1), ("x",)]:
+        with pytest.raises(ValueError, match="is not a partition$"):
+            basis_braid(parts)
 
 
 # -- moves ----------------------------------------------------------------------
